@@ -43,6 +43,16 @@ REPORT_COLUMNS = [
 ]
 
 MAX_GRID_POINTS = 10 ** 6
+# `qp` certifies its minimizer with a dense eigendecomposition of the
+# (n-1) x (n-1) restricted Hessian, O(n^3): about 0.2 s at this limit.
+MAX_QP_N = 1000
+
+
+def _finite(value: float, what: str) -> float:
+    # float() parses "nan" and "inf", and JSON has NaN/Infinity literals.
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
 
 
 def _parse_kv(spec: str, what: str) -> dict:
@@ -53,7 +63,7 @@ def _parse_kv(spec: str, what: str) -> dict:
         if "=" not in item:
             raise ValueError(f"bad {what} entry {item!r}, expected key=value")
         key, val = item.split("=", 1)
-        out[key.strip()] = float(val)
+        out[key.strip()] = _finite(float(val), f"{what} {key.strip()!r}")
     return out
 
 
@@ -77,7 +87,7 @@ def _parse_grid(spec: str, axis_names: tuple) -> list:
                 raise ValueError(f"bad grid range {val!r}")
             per_axis[key] = np.linspace(lo, hi, cnt)
         else:
-            per_axis[key] = np.array([float(val)])
+            per_axis[key] = np.array([_finite(float(val), f"grid value {key!r}")])
     missing = [a for a in axis_names if a not in per_axis]
     if missing:
         raise ValueError(f"grid spec missing axes {missing}")
@@ -96,15 +106,21 @@ def _load_synthetic(path: str) -> tuple:
 
 
 def _synthetic_from_dict(data: dict) -> tuple:
+    if not isinstance(data, dict):
+        raise ValueError("synthetic input must be a JSON object {n, p, c_tilde, h}")
     for key in ("n", "p", "h"):
         if key not in data:
             raise ValueError(f"synthetic input missing key {key!r}")
-    n = int(data["n"])
-    p = int(data["p"])
-    c_tilde = float(data.get("c_tilde", 0.0))
+    try:
+        n = int(data["n"])
+        p = int(data["p"])
+        c_tilde = float(data.get("c_tilde", 0.0))
+    except (TypeError, OverflowError) as exc:  # null, list, infinite n or p
+        raise ValueError(f"synthetic n, p and c_tilde must be finite "
+                         f"numbers: {exc}") from exc
     h = np.asarray(data["h"], dtype=float)
-    sf = SecondForm(n, p, h)  # validates shape and symmetry
-    return sf, c_tilde
+    sf = SecondForm(n, p, h)  # validates shape, finiteness and symmetry
+    return sf, _finite(c_tilde, "c_tilde")
 
 
 def _report_dict(sf: SecondForm, c_tilde: float, classify_tol: float,
@@ -314,8 +330,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_qp(args) -> int:
-    if args.n < 3:
-        raise ValueError("qp needs n >= 3")
+    if not 3 <= args.n <= MAX_QP_N:
+        raise ValueError(f"qp needs 3 <= n <= {MAX_QP_N}, got {args.n}")
     sol = oprea_qp(args.variant, args.n, args.k)
     out = {
         "variant": sol.variant,
@@ -381,7 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("qp", help="trace-constrained quadratic minimization")
     sp.add_argument("--variant", choices=("P", "Q"), required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=int, required=True,
+                    help=f"dimension, 3 <= n <= {MAX_QP_N}")
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_qp)
@@ -392,6 +409,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float):
+                _finite(value, "--" + name.replace("_", "-"))
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

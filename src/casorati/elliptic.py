@@ -159,12 +159,21 @@ def sd_squared_integral(u: float, k: float) -> float:
     if k < 1e-14:
         return 0.5 * u - 0.25 * math.sin(2.0 * u)
 
+    return _jacobi_sd_squared_integral(u, k)[3]
+
+
+def _jacobi_sd_squared_integral(u: float, k: float):
+    """``(sn, cn, dn, int_0^u sd^2)`` from one Landen sweep, unchecked.
+
+    Needs 1e-14 <= k < 1 and finite u; each value is bit-identical to the one
+    :func:`jacobi_elliptic` or :func:`sd_squared_integral` returns.
+    """
     sn, cn, dn, zeta, c = _descend(u, k)
     e_over_k = 1.0 - 0.5 * sum(2.0 ** n * cj * cj for n, cj in enumerate(c))
     epsilon = zeta + e_over_k * u
     k2 = k * k
     kp2 = (1.0 - k) * (1.0 + k)
-    return (epsilon - kp2 * u - k2 * sn * cn / dn) / (k2 * kp2)
+    return sn, cn, dn, (epsilon - kp2 * u - k2 * sn * cn / dn) / (k2 * kp2)
 
 
 def integrate(

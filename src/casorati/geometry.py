@@ -39,7 +39,8 @@ _EPS = np.finfo(float).eps
 @dataclass(frozen=True)
 class SecondForm:
     """Components h^r_ij of the second fundamental form in an adapted
-    orthonormal frame; h has shape (p, n, n) and each slice is symmetric."""
+    orthonormal frame; h has shape (p, n, n), finite entries, and each slice
+    is symmetric."""
 
     n: int
     p: int
@@ -50,6 +51,8 @@ class SecondForm:
         if h.shape != (self.p, self.n, self.n):
             raise ValueError(f"h must have shape ({self.p}, {self.n}, {self.n}), "
                              f"got {h.shape}")
+        if not np.isfinite(h).all():
+            raise ValueError("h must be finite (no NaN or inf entries)")
         scale = 1.0 + np.abs(h).max(initial=0.0)
         if np.abs(h - h.transpose(0, 2, 1)).max(initial=0.0) > 1e-8 * scale:
             raise ValueError("each h[r] must be symmetric in (i, j)")

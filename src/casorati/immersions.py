@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .elliptic import complete_K, jacobi_elliptic, sd_squared_integral
+from .elliptic import _jacobi_sd_squared_integral, complete_K, jacobi_elliptic
 # No chart calls the quadrature; the name stays a module attribute
 # because perfbench/tracing.py wraps it as its elliptic.quad layer boundary.
 from .elliptic import integrate  # noqa: F401
@@ -178,20 +178,20 @@ def _make_chen_ideal(params: dict, margin: float):
     Kk = complete_K(k)
     t_hi = 2.0 * Kk / a
 
-    def profile(t: float):
-        trip = jacobi_elliptic(a * t, k)
-        sn, cn, dn = trip.sn, trip.cn, trip.dn
+    def profile_terms(sn: float, cn: float, dn: float):
         sd = sn / dn
         r = sd / a
         rp = cn / dn ** 2
         rpp = a * sn * (2.0 * k * k * cn * cn - dn * dn) / dn ** 3
         zp = 0.5 * sd * sd
         zpp = a * sd * rp
-        return r, rp, rpp, zp, zpp, sd
+        return r, rp, rpp, zp, zpp
 
-    def height(t: float) -> float:
+    def profile_and_height(t: float):
+        # One Landen sweep gives the profile and the height
         # z(t) = 1/2 int_0^t sd(a s)^2 ds, in closed form.
-        return sd_squared_integral(a * t, k) / (2.0 * a)
+        sn, cn, dn, sd2_integral = _jacobi_sd_squared_integral(a * t, k)
+        return profile_terms(sn, cn, dn), sd2_integral / (2.0 * a)
 
     def sphere_dir(u: float, v: float):
         su, cu = math.sin(u), math.cos(u)
@@ -206,15 +206,15 @@ def _make_chen_ideal(params: dict, margin: float):
 
     def position(x: np.ndarray) -> np.ndarray:
         t, u, v = x
-        r = profile(t)[0]
+        (r, *_), z = profile_and_height(t)
         S = sphere_dir(u, v)[0]
-        return np.append(r * S, height(t))
+        return np.append(r * S, z)
 
     def analytic_jet(x: np.ndarray) -> Jet2:
         t, u, v = x
-        r, rp, rpp, zp, zpp, _ = profile(t)
+        (r, rp, rpp, zp, zpp), z = profile_and_height(t)
         S, Su, Sv, Suu, Suv, Svv = sphere_dir(u, v)
-        pos = np.append(r * S, height(t))
+        pos = np.append(r * S, z)
         d1 = np.zeros((3, 4))
         d1[0, :3] = rp * S
         d1[0, 3] = zp
@@ -233,10 +233,9 @@ def _make_chen_ideal(params: dict, margin: float):
     def analytic_d1(x: np.ndarray) -> np.ndarray:
         # First partials never need the height z, only z' = sd^2 / 2.
         t, u, v = x
-        _, rp, _, zp, _, sd = profile(t)
-        r = sd / a
-        _, Su, Sv, _, _, _ = sphere_dir(u, v)
-        S = sphere_dir(u, v)[0]
+        trip = jacobi_elliptic(a * t, k)
+        r, rp, _, zp, _ = profile_terms(trip.sn, trip.cn, trip.dn)
+        S, Su, Sv = sphere_dir(u, v)[:3]
         d1 = np.zeros((3, 4))
         d1[0, :3] = rp * S
         d1[0, 3] = zp
@@ -325,6 +324,8 @@ def domain_check(chart: Chart, x) -> DomainVerdict:
     x = np.asarray(x, dtype=float)
     if x.shape != (chart.n,):
         return DomainVerdict(False, -math.inf, "wrong point dimension")
+    if not np.isfinite(x).all():
+        return DomainVerdict(False, -math.inf, "non-finite coordinate")
     dist = math.inf
     worst = ""
     for j, (lo, hi) in enumerate(chart.domain):

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .geometry import SecondForm
 
@@ -140,8 +138,12 @@ def casorati_hyperplane(h: SecondForm, u) -> float:
 def sphere_grid(n: int, size: int) -> np.ndarray:
     """Deterministic quasi-uniform grid on S^{n-1}.
 
-    n = 3 uses a Fibonacci lattice; higher n maps an unscrambled Sobol
-    sequence through the normal quantile and normalizes.
+    n = 3 uses a Fibonacci lattice of `size` points. Higher n takes the
+    first 2^m points, 2^m the least power of two >= size, of the R_d
+    Kronecker lattice (Roberts' generalized golden ratio) in [0, 1)^d with
+    d = 2 ceil(n/2), maps each coordinate pair to two standard normals by
+    Box-Muller and normalizes the first n. No random stream is drawn, so the
+    grid does not depend on the numpy version.
     """
     if n == 3:
         i = np.arange(size)
@@ -150,11 +152,57 @@ def sphere_grid(n: int, size: int) -> np.ndarray:
         phi = i * _GOLDEN_ANGLE
         return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     m = int(math.ceil(math.log2(max(2, size))))
-    pts = qmc.Sobol(d=n, scramble=False).random_base2(m)
-    pts = ndtri(np.clip(pts, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(pts, axis=1)
+    d = 2 * ((n + 1) // 2)
+    # phi_d is the positive root of x^(d+1) = x + 1; the fixed-point map
+    # contracts by less than 1/(d+1), so 64 steps reach double precision.
+    phi_d = 2.0
+    for _ in range(64):
+        phi_d = (1.0 + phi_d) ** (1.0 / (d + 1))
+    alpha = phi_d ** -np.arange(1.0, d + 1)
+    pts = (0.5 + np.arange(2 ** m)[:, None] * alpha) % 1.0
+    # 1 - u lies in (0, 1], so every radius is finite.
+    radius = np.sqrt(-2.0 * np.log1p(-pts[:, 0::2]))
+    angle = 2.0 * math.pi * pts[:, 1::2]
+    z = np.empty_like(pts)
+    z[:, 0::2] = radius * np.cos(angle)
+    z[:, 1::2] = radius * np.sin(angle)
+    z = z[:, :n]
+    norms = np.linalg.norm(z, axis=1)
     keep = norms > 1e-8
-    return pts[keep] / norms[keep, None]
+    return z[keep] / norms[keep, None]
+
+
+def _hypersurface_extrema(A: np.ndarray, mode: str):
+    """Exact extremum of (n-1) C(u-perp) for p = 1 forms A of shape (B, n, n).
+
+    With eigenvalues lam of A and w_i = u_i^2 on the simplex,
+    (n-1) C(u-perp) = |A|^2 - 2 sum lam_i^2 w_i + (sum lam_i w_i)^2 is convex
+    in w, which gives
+
+        sup = |A|^2 - min_i lam_i^2,
+        inf = |A|^2 - max(lam_max, 0)^2 - min(lam_min, 0)^2.
+
+    The supremum is attained at the eigenvector e_i of the smallest lam_i^2;
+    the infimum at e_max, at e_min, or, when lam_max > 0 > lam_min,
+    at sqrt(s) e_max + sqrt(1 - s) e_min with s = lam_max / (lam_max - lam_min).
+    Returns the values (B,) and unit minimizers u (B, n).
+    """
+    lam, E = np.linalg.eigh(A)                  # ascending eigenvalues
+    B = A.shape[0]
+    rows = np.arange(B)
+    tr2 = np.einsum("bij,bij->b", A, A)
+    if mode == "sup":
+        i = np.argmin(lam * lam, axis=1)
+        return tr2 - lam[rows, i] ** 2, E[rows, :, i]
+    top = np.maximum(lam[:, -1], 0.0)
+    bottom = np.minimum(lam[:, 0], 0.0)
+    # s = 1 (u = e_max) when no eigenvalue is negative, s = 0 (u = e_min)
+    # when none is positive; the zero form takes s = 1.
+    width = top - bottom
+    s = np.divide(top, width, out=np.ones(B), where=width > 0.0)
+    u = (np.sqrt(s)[:, None] * E[:, :, -1]
+         + np.sqrt(1.0 - s)[:, None] * E[:, :, 0])
+    return tr2 - top ** 2 - bottom ** 2, u
 
 
 def _objective_parts(h: np.ndarray):
@@ -191,17 +239,27 @@ def _tangent_basis(u: np.ndarray) -> np.ndarray:
 def extremize_hyperplane(h: SecondForm, mode: str, *,
                          grid_size: int | None = None,
                          refine_iters: int = 60) -> HyperplaneExtremum:
-    """Optimize C(u-perp) over unit u: deterministic quasi-uniform sphere grid
-    followed by a safeguarded Newton polish on the sphere.
+    """Extremize C(u-perp) over unit u.
 
-    The polished point is always feasible, so `inf` results upper-bound the
-    true infimum and `sup` results lower-bound the true supremum.
+    Hypersurfaces (p = 1) take the exact spectral closed form of
+    `_hypersurface_extrema`; the certificate is ``{"method": "closed_form"}``
+    and `grid_size`/`refine_iters` are unused. For p >= 2 a deterministic
+    quasi-uniform sphere grid (`sphere_grid`) is followed by a safeguarded
+    Newton polish on the sphere; the certificate gives the method
+    ``"grid_newton"``, the grid nodes, the Newton iteration cap and the best
+    grid value. The polished point is always feasible, so there `inf`
+    results upper-bound the true infimum and `sup` results lower-bound the
+    true supremum.
     """
     if mode not in ("inf", "sup"):
         raise ValueError("mode must be 'inf' or 'sup'")
     n = h.n
     if n < 3:
         raise ValueError("hyperplane extremization needs n >= 3")
+    if h.p == 1:
+        vals, us = _hypersurface_extrema(h.h, mode)
+        return HyperplaneExtremum(mode, float(vals[0]) / (n - 1), us[0],
+                                  {"method": "closed_form"})
     if grid_size is None:
         grid_size = min(32768, 4096 * 2 ** (n - 3))
 
@@ -244,7 +302,8 @@ def extremize_hyperplane(h: SecondForm, mode: str, *,
             break
 
     cval = fu / (n - 1)
-    cert = {"grid_nodes": int(U.shape[0]), "refine_iters": refine_iters,
+    cert = {"method": "grid_newton", "grid_nodes": int(U.shape[0]),
+            "refine_iters": refine_iters,
             "grid_value": float(vals[idx]) / (n - 1)}
     return HyperplaneExtremum(mode, cval, u, cert)
 
@@ -264,16 +323,20 @@ def _batch_values(h: np.ndarray, U: np.ndarray) -> np.ndarray:
 def hyperplane_extrema_batch(h: np.ndarray, mode: str, *,
                              grid_size: int = 512,
                              refine_iters: int = 40) -> np.ndarray:
-    """Refined hyperplane extrema for a batch of forms h of shape (B,p,n,n).
+    """Hyperplane extrema C(u-perp) for a batch of forms h of shape (B,p,n,n).
 
-    Grid seed plus vectorized projected-gradient refinement with per-instance
-    adaptive steps; every iterate is feasible, so the returned values are
-    conservative bounds in the sense documented on `extremize_hyperplane`.
+    p = 1 is exact (the closed form of `_hypersurface_extrema`). For p >= 2,
+    grid seed plus vectorized projected-gradient refinement with
+    per-instance adaptive steps; every iterate is feasible, so the returned
+    values are conservative bounds in the sense documented on
+    `extremize_hyperplane`.
     """
     if mode not in ("inf", "sup"):
         raise ValueError("mode must be 'inf' or 'sup'")
     h = np.asarray(h, dtype=float)
     B, p, n, _ = h.shape
+    if p == 1:
+        return _hypersurface_extrema(h[:, 0], mode)[0] / (n - 1)
     sign = 1.0 if mode == "inf" else -1.0
 
     U = sphere_grid(n, grid_size)
@@ -318,30 +381,13 @@ def hyperplane_extrema_batch(h: np.ndarray, mode: str, *,
 # ---------------------------------------------------------------------------
 
 def tau_from_h(h: SecondForm, c_tilde: float = 0.0) -> float:
-    """Scalar curvature of the Gauss-equation metric.
-
-    Computed both from 2 tau = n^2 |H|^2 - n C + n(n-1) c_tilde and from the
-    pairwise sectional sums; the two routes agree as an algebraic identity and
-    are asserted to 1e-12 relative.
-    """
+    """Scalar curvature of the Gauss-equation metric,
+    2 tau = n^2 |H|^2 - n C + n(n-1) c_tilde."""
     n = h.n
     traces = np.einsum("rii->r", h.h)
     H2 = float(np.sum(traces ** 2)) / n ** 2
     C = casorati_total(h)
-    tau_a = 0.5 * (n * n * H2 - n * C + n * (n - 1) * c_tilde)
-
-    hh = h.h
-    diag = np.einsum("rii->ri", hh)
-    # K_ij = c_tilde + sum_r (h_ii h_jj - h_ij^2), summed over i < j
-    K = (c_tilde
-         + np.einsum("ri,rj->ij", diag, diag)
-         - np.einsum("rij,rij->ij", hh, hh))
-    iu = np.triu_indices(n, k=1)
-    tau_b = float(np.sum(K[iu]))
-
-    scale = 1.0 + abs(tau_a) + abs(tau_b)
-    assert abs(tau_a - tau_b) <= 1e-12 * scale, (tau_a, tau_b)
-    return tau_a
+    return 0.5 * (n * n * H2 - n * C + n * (n - 1) * c_tilde)
 
 
 def tau_subspace(h: SecondForm, L, c_tilde: float = 0.0) -> float:
@@ -415,7 +461,8 @@ def qp_objective(variant: str, x) -> float:
     """Quadratic form in the diagonal entries, per inequality variant."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    off = float(sum(x[i] * x[j] for i in range(n) for j in range(i + 1, n)))
+    # sum_{i<j} x_i x_j in O(n)
+    off = 0.5 * (float(np.sum(x)) ** 2 - float(np.sum(x ** 2)))
     if variant == "P":
         return (0.5 * (2.0 * n - 3.0) * float(np.sum(x[:-1] ** 2))
                 + 2.0 * (n - 1.0) * x[-1] ** 2 - 2.0 * off)

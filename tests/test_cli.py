@@ -3,11 +3,18 @@ codes, determinism, and the JSON round trip."""
 
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from casorati.cli import main
+from casorati.cli import MAX_QP_N, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args, tmp_path, name="out"):
@@ -20,6 +27,81 @@ def write_synthetic(tmp_path, data, name="syn.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, casorati.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def identity_form(**extra):
+    return {"n": 3, "p": 1, "h": np.eye(3)[None].tolist(), **extra}
+
+
+NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+def assert_input_error(capsys, rc, *words):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    for word in words:
+        assert word in err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_h_entry(self, tmp_path, capsys, bad):
+        entry = identity_form()
+        entry["h"][0][1][1] = bad
+        path = write_synthetic(tmp_path, entry)
+        for command in ("verify", "report"):
+            assert_input_error(capsys, main([command, "--synthetic", path]),
+                               "finite")
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_c_tilde_in_file(self, tmp_path, capsys, bad):
+        path = write_synthetic(tmp_path, [identity_form(c_tilde=bad)])
+        assert_input_error(capsys, main(["verify", "--synthetic", path]),
+                           "c_tilde", "finite")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_c_tilde_flag(self, tmp_path, capsys, bad):
+        path = write_synthetic(tmp_path, identity_form())
+        rc = main(["report", "--synthetic", path, f"--c-tilde={bad}"])
+        assert_input_error(capsys, rc, "--c-tilde", "finite")
+
+    @pytest.mark.parametrize("flag", ["--tol-algebraic", "--tol-geometric",
+                                      "--margin"])
+    def test_float_flags(self, capsys, flag):
+        # A NaN tolerance would make every comparison false: a silent pass.
+        rc = main(["verify", "--chart", "paraboloid",
+                   "--grid", "x=0:0.5:3,y=0", f"{flag}=nan"])
+        assert_input_error(capsys, rc, flag, "finite")
+
+    @pytest.mark.parametrize("args", [
+        ["--param", "R=nan,n=3", "--point", "phi1=0.9,phi2=1.2,phi3=2.0"],
+        ["--param", "R=1,n=3", "--point", "phi1=nan,phi2=1.2,phi3=2.0"],
+    ])
+    def test_chart_numbers(self, capsys, args):
+        rc = main(["report", "--chart", "hypersphere", *args])
+        assert_input_error(capsys, rc, "finite")
+
+    def test_grid_value(self, capsys):
+        rc = main(["sweep", "--chart", "paraboloid", "--grid", "x=0:0.5:3,y=inf"])
+        assert_input_error(capsys, rc, "grid value", "finite")
+
+    @pytest.mark.parametrize("entry", [
+        identity_form(n=math.inf), identity_form(n=None),
+        identity_form(c_tilde=None), [1.0, 2.0], 5])
+    def test_malformed_entry(self, tmp_path, capsys, entry):
+        path = write_synthetic(tmp_path, [entry])
+        assert_input_error(capsys, main(["verify", "--synthetic", path]))
 
 
 class TestCatalog:
@@ -207,3 +289,19 @@ class TestQP:
         rc = main(["qp", "--variant", "P", "--n", "2", "--k", "1"])
         capsys.readouterr()
         assert rc == 2
+
+    def test_n_over_limit_exit_2(self, capsys):
+        rc = main(["qp", "--variant", "Q", "--n", str(MAX_QP_N + 1), "--k", "1"])
+        assert rc == 2
+        assert str(MAX_QP_N) in capsys.readouterr().err
+
+    def test_n_at_limit(self, tmp_path):
+        rc, text = run(["qp", "--variant", "Q", "--n", str(MAX_QP_N),
+                        "--k", "1"], tmp_path, "qp.json")
+        assert rc == 0
+        assert len(json.loads(text)["point"]) == MAX_QP_N
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_k_exit_2(self, capsys, bad):
+        rc = main(["qp", "--variant", "P", "--n", "4", "--k", bad])
+        assert_input_error(capsys, rc, "--k", "finite")

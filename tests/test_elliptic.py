@@ -13,6 +13,7 @@ import pytest
 
 from casorati.elliptic import (
     QuadratureError,
+    _jacobi_sd_squared_integral,
     complete_K,
     integrate,
     jacobi_elliptic,
@@ -125,6 +126,16 @@ class TestSdSquaredIntegral:
         for u in (0.1, 1.0, -2.5):
             assert sd_squared_integral(u, 0.0) == pytest.approx(
                 0.5 * u - 0.25 * math.sin(2.0 * u), abs=1e-15)
+
+    def test_shared_sweep_is_bit_identical(self):
+        # The chen_ideal chart takes sn, cn, dn and the integral from one
+        # Landen sweep; each must equal the public function's value exactly.
+        for k in (1e-14, 0.3, HALF, 0.999):
+            for u in np.linspace(-25.0, 25.0, 301):
+                u = float(u)
+                tr = jacobi_elliptic(u, k)
+                assert _jacobi_sd_squared_integral(u, k) == (
+                    tr.sn, tr.cn, tr.dn, sd_squared_integral(u, k)), (u, k)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,13 @@ class TestSecondFormType:
         with pytest.raises(ValueError):
             SecondForm(3, 1, h)
 
+    def test_nonfinite_validation(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            h = np.zeros((1, 3, 3))
+            h[0, 1, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                SecondForm(3, 1, h)
+
     def test_accepts_valid(self):
         sf = SecondForm(3, 2, np.zeros((2, 3, 3)))
         assert sf.h.shape == (2, 3, 3)

@@ -103,6 +103,13 @@ class TestDomainCheck:
         c = make_chart("paraboloid")
         assert not domain_check(c, [0.1]).admissible
 
+    def test_nonfinite_point(self):
+        c = make_chart("chen_ideal", {"a": 1.0})
+        for bad in (math.nan, math.inf, -math.inf):
+            v = domain_check(c, [0.8, bad, 1.1])
+            assert not v.admissible
+            assert v.reason == "non-finite coordinate"
+
     def test_jet2_rejects_inadmissible(self):
         c = make_chart("chen_ideal", {"a": 1.0})
         with pytest.raises(DomainError):

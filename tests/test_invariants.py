@@ -3,6 +3,8 @@ trace-constrained QP, curvature tensors, and classification."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from casorati.geometry import SecondForm
@@ -13,6 +15,7 @@ from casorati.invariants import (
     delta_curvatures,
     einstein_residual,
     extremize_hyperplane,
+    hyperplane_extrema_batch,
     inequality_report,
     oprea_qp,
     proof_polynomial,
@@ -31,6 +34,28 @@ def diag_form(*vals, p=1):
     h = np.zeros((p, n, n))
     h[0] = np.diag(vals)
     return SecondForm(n, p, h)
+
+
+def random_hypersurface_forms():
+    """200 symmetric p = 1 forms with n in 3..6. Instance 80 (n = 6) is one
+    where a grid+Newton search undershoots the supremum by 2.9e-2."""
+    rng = np.random.default_rng(3)
+    forms = []
+    for _ in range(200):
+        n = int(rng.integers(3, 7))
+        h = rng.normal(size=(1, n, n))
+        forms.append(SecondForm(n, 1, 0.5 * (h + h.transpose(0, 2, 1))))
+    return forms
+
+
+def sampled_hyperplane_values(h, U):
+    """C(u-perp) at each row of U, from the projector identity
+    sum_r |P h_r P|^2 = |h|^2 - 2 |h u|^2 + sum_r (u^T h_r u)^2, P = I - u u^T."""
+    n = h.shape[-1]
+    hu = np.einsum("rij,gj->rgi", h, U)
+    quad = np.einsum("rgi,gi->rg", hu, U)
+    return (np.sum(h * h) - 2.0 * np.einsum("rgi,rgi->g", hu, hu)
+            + np.sum(quad ** 2, axis=0)) / (n - 1)
 
 
 class TestCasoratiTotal:
@@ -84,6 +109,12 @@ class TestExtremize:
 
     def test_certificate(self):
         ext = extremize_hyperplane(diag_form(1.0, 1.0, 2.0), "inf")
+        assert ext.certificate == {"method": "closed_form"}
+        h = np.zeros((2, 3, 3))
+        h[0] = np.diag([1.0, 1.0, 2.0])
+        h[1, 0, 1] = h[1, 1, 0] = 0.5
+        ext = extremize_hyperplane(SecondForm(3, 2, h), "inf")
+        assert ext.certificate["method"] == "grid_newton"
         assert ext.certificate["grid_nodes"] >= 4096
 
     def test_bad_mode(self):
@@ -97,8 +128,120 @@ class TestExtremize:
             assert U.shape[0] >= 700
             assert np.abs(np.linalg.norm(U, axis=1) - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("n, bound", [(4, 0.163), (5, 0.220), (6, 0.266)])
+    def test_grid_covers_sphere(self, n, bound):
+        # Largest angle from 4000 random directions to the default-size
+        # grid; the bounds are those of the unscrambled-Sobol grid the
+        # Kronecker lattice replaced.
+        size = min(32768, 4096 * 2 ** (n - 3))
+        U = sphere_grid(n, size)
+        assert U.shape == (size, n)
+        rng = np.random.default_rng(0)
+        D = rng.normal(size=(4000, n))
+        D /= np.linalg.norm(D, axis=1, keepdims=True)
+        nearest = np.concatenate([(D[i:i + 250] @ U.T).max(axis=1)
+                                  for i in range(0, len(D), 250)])
+        assert float(np.arccos(np.clip(nearest, -1.0, 1.0)).max()) <= bound
+
+
+class TestHypersurfaceClosedForm:
+    """p = 1: sup (n-1) C(L) = |h|^2 - min lam^2 and
+    inf (n-1) C(L) = |h|^2 - max(lam_max, 0)^2 - min(lam_min, 0)^2."""
+
+    def test_bounds_dense_sampling_and_attained(self):
+        srng = np.random.default_rng(1)
+        forms = random_hypersurface_forms()
+        for i, sf in enumerate(forms):
+            n = sf.n
+            U = srng.normal(size=(20000, n))
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            vals = sampled_hyperplane_values(sf.h, U)
+            tol = 1e-12 * (1.0 + np.sum(sf.h ** 2))
+            inf = extremize_hyperplane(sf, "inf")
+            sup = extremize_hyperplane(sf, "sup")
+            assert vals.min() >= inf.value - tol, i
+            assert vals.max() <= sup.value + tol, i
+            for ext in (inf, sup):
+                assert casorati_hyperplane(sf, ext.u) == pytest.approx(
+                    ext.value, abs=tol), (i, ext.mode)
+
+    def test_sup_undershoot_instance(self):
+        # Instance 80: a grid+Newton search stops at a local maximum 2.9e-2
+        # below the supremum; 2e5 random directions reach above it.
+        sf = random_hypersurface_forms()[80]
+        U = np.random.default_rng(0).normal(size=(200000, sf.n))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        best = sampled_hyperplane_values(sf.h, U).max()
+        sup = extremize_hyperplane(sf, "sup").value
+        assert sup - 0.025 < best <= sup + 1e-12 * (1.0 + np.sum(sf.h ** 2))
+
+    def test_spectral_formulas(self):
+        for sf in random_hypersurface_forms()[:40]:
+            n = sf.n
+            lam = np.linalg.eigvalsh(sf.h[0])
+            tr2 = np.sum(lam ** 2)
+            sup = (tr2 - np.min(lam ** 2)) / (n - 1)
+            inf = (tr2 - max(lam[-1], 0.0) ** 2 - min(lam[0], 0.0) ** 2) / (n - 1)
+            assert extremize_hyperplane(sf, "sup").value == pytest.approx(
+                sup, rel=1e-12, abs=1e-12)
+            assert extremize_hyperplane(sf, "inf").value == pytest.approx(
+                inf, rel=1e-12, abs=1e-12)
+
+    def test_batch_matches_scalar(self):
+        forms = [sf for sf in random_hypersurface_forms() if sf.n == 5]
+        h = np.stack([sf.h for sf in forms])
+        for mode in ("inf", "sup"):
+            batch = hyperplane_extrema_batch(h, mode)
+            scalar = [extremize_hyperplane(sf, mode).value for sf in forms]
+            assert np.array_equal(batch, scalar)
+
+    def test_signatures(self):
+        # definite, indefinite, semidefinite and zero spectra
+        cases = [((1.0, 2.0, 3.0), 13.0 / 2, 5.0 / 2),
+                 ((-1.0, -2.0, -3.0), 13.0 / 2, 5.0 / 2),
+                 ((-1.0, 0.5, 2.0), 5.0 / 2, 0.25 / 2),
+                 ((0.0, 0.0, 1.5), 2.25 / 2, 0.0),
+                 ((0.0, 0.0, 0.0), 0.0, 0.0)]
+        for vals, sup, inf in cases:
+            sf = diag_form(*vals)
+            assert extremize_hyperplane(sf, "sup").value == pytest.approx(
+                sup, abs=1e-14)
+            assert extremize_hyperplane(sf, "inf").value == pytest.approx(
+                inf, abs=1e-14)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(3, 6),
+           entries=st.lists(st.floats(-5.0, 5.0), min_size=36, max_size=36),
+           frame_seed=st.integers(0, 2 ** 32 - 1))
+    def test_frame_and_sign_invariance(self, n, entries, frame_seed):
+        A = np.array(entries[:n * n]).reshape(n, n)
+        A = 0.5 * (A + A.T)
+        Q, _ = np.linalg.qr(np.random.default_rng(frame_seed).normal(size=(n, n)))
+        tol = 1e-12 * (1.0 + np.sum(A * A))
+        base = {m: extremize_hyperplane(SecondForm(n, 1, A[None]), m).value
+                for m in ("inf", "sup")}
+        for B in (Q @ A @ Q.T, -A):
+            for mode in ("inf", "sup"):
+                got = extremize_hyperplane(SecondForm(n, 1, B[None]), mode).value
+                assert got == pytest.approx(base[mode], abs=tol)
+
 
 class TestTau:
+    def test_matches_pairwise_sectional_sums(self):
+        # Independent route: tau = sum_{i<j} K_ij with the Gauss-equation
+        # sectional curvatures K_ij = c + sum_r (h_ii h_jj - h_ij^2).
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            p = int(rng.integers(1, 4))
+            h = rng.uniform(-2, 2, (p, n, n))
+            h = 0.5 * (h + h.transpose(0, 2, 1))
+            ct = float(rng.uniform(-1, 1))
+            pairwise = sum(ct + np.sum(h[:, i, i] * h[:, j, j] - h[:, i, j] ** 2)
+                           for i in range(n) for j in range(i + 1, n))
+            tau = tau_from_h(SecondForm(n, p, h), ct)
+            assert tau == pytest.approx(pairwise, abs=1e-12 * (1.0 + abs(tau)))
+
     def test_diag_112(self):
         assert tau_from_h(diag_form(1.0, 1.0, 2.0), 0.0) == pytest.approx(5.0)
 
@@ -208,6 +351,21 @@ class TestOpreaQP:
                            options={"ftol": 1e-14, "maxiter": 500})
             assert res.success
             assert np.abs(res.x - sol.point).max() <= 1e-6
+
+    def test_objective_matches_double_loop(self):
+        rng = np.random.default_rng(37)
+        for variant in ("P", "Q"):
+            for n in (3, 4, 7, 12):
+                x = rng.uniform(-3.0, 3.0, n)
+                off = sum(x[i] * x[j] for i in range(n) for j in range(i + 1, n))
+                head = float(np.sum(x[:-1] ** 2))
+                if variant == "P":
+                    ref = (0.5 * (2 * n - 3) * head + 2.0 * (n - 1) * x[-1] ** 2
+                           - 2.0 * off)
+                else:
+                    ref = n * head + 0.5 * (n - 1) * x[-1] ** 2 - 2.0 * off
+                assert qp_objective(variant, x) == pytest.approx(
+                    ref, rel=1e-12, abs=1e-12)
 
     def test_hessian_consistent_with_objective(self):
         rng = np.random.default_rng(29)
