@@ -211,6 +211,17 @@ def intrinsic_tau(riemann: RiemannTensor) -> float:
     return float(sum(c[i, j, i, j] for i in range(n) for j in range(i + 1, n)))
 
 
+def _gauss_riemann(h: SecondForm, c_tilde: float) -> np.ndarray:
+    """R_ijkl of the Gauss equation: c_tilde (d_ik d_jl - d_il d_jk)
+    + sum_r (h^r_ik h^r_jl - h^r_il h^r_jk)."""
+    eye = np.eye(h.n)
+    hh = h.h
+    return (c_tilde * (np.einsum("ik,jl->ijkl", eye, eye)
+                       - np.einsum("il,jk->ijkl", eye, eye))
+            + np.einsum("rik,rjl->ijkl", hh, hh)
+            - np.einsum("ril,rjk->ijkl", hh, hh))
+
+
 def gauss_residual(secondform: SecondForm, riemann: RiemannTensor,
                    c_tilde: float = 0.0) -> float:
     """Max componentwise defect of the Gauss equation between the intrinsic
@@ -218,10 +229,5 @@ def gauss_residual(secondform: SecondForm, riemann: RiemannTensor,
     n = secondform.n
     if riemann.n != n:
         raise ValueError(f"dimension mismatch: h has n={n}, R has n={riemann.n}")
-    eye = np.eye(n)
-    h = secondform.h
-    expected = (c_tilde * (np.einsum("ik,jl->ijkl", eye, eye)
-                           - np.einsum("il,jk->ijkl", eye, eye))
-                + np.einsum("rik,rjl->ijkl", h, h)
-                - np.einsum("ril,rjk->ijkl", h, h))
+    expected = _gauss_riemann(secondform, c_tilde)
     return float(np.abs(riemann.components - expected).max())

@@ -347,24 +347,36 @@ def domain_check(chart: Chart, x) -> DomainVerdict:
     return DomainVerdict(True, dist, "interior")
 
 
+def _shifted(position: Callable, x: np.ndarray, deltas) -> np.ndarray:
+    """position(x + sum of d e_j over the (j, d) pairs in deltas)."""
+    y = x.copy()
+    for j, d in deltas:
+        y[j] += d
+    return np.asarray(position(y), dtype=float)
+
+
+def _numeric_d1(position: Callable, x: np.ndarray) -> np.ndarray:
+    """First partials, shape (n, N): O(h^4) via one Richardson level on
+    central differences."""
+    h1 = np.cbrt(_EPS) * np.maximum(1.0, np.abs(x))
+    rows = []
+    for j, h in enumerate(h1):
+        D_h = (_shifted(position, x, [(j, h)])
+               - _shifted(position, x, [(j, -h)])) / (2.0 * h)
+        D_h2 = (_shifted(position, x, [(j, 0.5 * h)])
+                - _shifted(position, x, [(j, -0.5 * h)])) / h
+        rows.append((4.0 * D_h2 - D_h) / 3.0)
+    return np.array(rows)
+
+
 def _numeric_jet(position: Callable, x: np.ndarray, n: int) -> Jet2:
     f0 = np.asarray(position(x), dtype=float)
     N = f0.shape[0]
 
     def fshift(deltas) -> np.ndarray:
-        y = x.copy()
-        for j, d in deltas:
-            y[j] += d
-        return np.asarray(position(y), dtype=float)
+        return _shifted(position, x, deltas)
 
-    # First partials: O(h^4) via one Richardson level on central differences.
-    h1 = np.cbrt(_EPS) * np.maximum(1.0, np.abs(x))
-    d1 = np.empty((n, N))
-    for j in range(n):
-        h = h1[j]
-        D_h = (fshift([(j, h)]) - fshift([(j, -h)])) / (2.0 * h)
-        D_h2 = (fshift([(j, 0.5 * h)]) - fshift([(j, -0.5 * h)])) / h
-        d1[j] = (4.0 * D_h2 - D_h) / 3.0
+    d1 = _numeric_d1(position, x)
 
     # Second partials use a larger step: the cube-root step leaves the
     # rounding term eps/h^2 at ~1e-5, far too coarse for the 1e-5 jet
@@ -407,22 +419,7 @@ def first_partials(chart: Chart, x, *, jet_mode: str | None = None) -> np.ndarra
             return chart._analytic_d1(x)
         if chart._analytic_jet is not None:
             return chart._analytic_jet(x).d1
-    position = chart._position
-    h1 = np.cbrt(_EPS) * np.maximum(1.0, np.abs(x))
-    n = chart.n
-    d1 = None
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        h = h1[j]
-        f = lambda y: np.asarray(position(y), dtype=float)
-        D_h = (f(x + h * e) - f(x - h * e)) / (2.0 * h)
-        D_h2 = (f(x + 0.5 * h * e) - f(x - 0.5 * h * e)) / h
-        row = (4.0 * D_h2 - D_h) / 3.0
-        if d1 is None:
-            d1 = np.empty((n, row.shape[0]))
-        d1[j] = row
-    return d1
+    return _numeric_d1(chart._position, x)
 
 
 def jet2(chart: Chart, x, *, jet_mode: str | None = None,

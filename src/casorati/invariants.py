@@ -9,13 +9,14 @@ Ricci/Einstein/Weyl checks, and the equality-case classification.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .geometry import SecondForm
+from .geometry import SecondForm, _gauss_riemann
 
 __all__ = [
     "HyperplaneExtremum",
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+# Newton iteration cap of the p >= 2 hyperplane extremum, after the grid seed.
+_NEWTON_ITERS = 60
+# Most (form, grid node) values the p >= 2 grid scan holds at once.
+_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -205,175 +210,177 @@ def _hypersurface_extrema(A: np.ndarray, mode: str):
     return tr2 - top ** 2 - bottom ** 2, u
 
 
-def _objective_parts(h: np.ndarray):
-    """Closed-form value/gradient/Hessian of f(u) = (n-1) C(u-perp)."""
-    S = np.einsum("rij,rjk->ik", h, h)
-    tr2 = float(np.sum(h ** 2))
-
-    def value(u: np.ndarray) -> float:
-        hu = h @ u
-        quad = np.einsum("ri,i->r", hu, u)
-        return tr2 - 2.0 * float(u @ S @ u) + float(np.sum(quad ** 2))
-
-    def grad(u: np.ndarray) -> np.ndarray:
-        hu = h @ u
-        quad = np.einsum("ri,i->r", hu, u)
-        return -4.0 * (S @ u) + 4.0 * np.einsum("r,ri->i", quad, hu)
-
-    def hess(u: np.ndarray) -> np.ndarray:
-        hu = h @ u
-        quad = np.einsum("ri,i->r", hu, u)
-        return (-4.0 * S
-                + 8.0 * np.einsum("ri,rj->ij", hu, hu)
-                + 4.0 * np.einsum("r,rij->ij", quad, h))
-
-    return value, grad, hess, tr2
+def _check_extremum_args(mode: str, n: int) -> None:
+    if mode not in ("inf", "sup"):
+        raise ValueError("mode must be 'inf' or 'sup'")
+    if n < 3:
+        raise ValueError("hyperplane extremization needs n >= 3")
 
 
-def _tangent_basis(u: np.ndarray) -> np.ndarray:
-    n = u.shape[0]
-    Q, _ = np.linalg.qr(np.column_stack([u, np.eye(n)]))
-    return Q[:, 1:n]
+@functools.lru_cache(maxsize=8)
+def _cached_grid(n: int, size: int) -> np.ndarray:
+    """Read-only `sphere_grid(n, size)`, built once per (n, size)."""
+    U = sphere_grid(n, size)
+    U.flags.writeable = False
+    return U
+
+
+def _values_at(h, S, tr2, u):
+    """(n-1) C(u-perp) = |h|^2 - 2 u^T S u + sum_r (u^T h_r u)^2 for matched
+    batches h (L,p,n,n), S = sum_r h_r^2 (L,n,n), tr2 (L,), u (L,n)."""
+    hu = (h @ u[:, None, :, None])[..., 0]
+    quad = (hu * u[:, None, :]).sum(-1)
+    uSu = ((S @ u[:, :, None])[..., 0] * u).sum(-1)
+    return tr2 - 2.0 * uSu + (quad * quad).sum(-1)
+
+
+def _grid_newton(h: np.ndarray, mode: str, grid_size: int):
+    """Grid seed plus safeguarded Riemannian Newton for forms h (B,p,n,n).
+
+    The grid `sphere_grid(n, grid_size)` is scanned in chunks of at most
+    `_CHUNK` (form, node) pairs, with u^T A u summed over the upper-triangle
+    monomials u_i u_j. Each form then runs its own Newton iteration on the
+    sphere: the restricted Hessian is clipped to be positive (for the chosen
+    direction), steps are halved until the value improves, and a form stops
+    once its tangent gradient is below 1e-14 (1 + |h|^2) or no halving
+    improves it. Every operation acts on one form at a time or elementwise,
+    so a form's result does not depend on the batch it came in.
+    Returns (n-1) C(u-perp) at the polished points, the unit points u and the
+    best grid values.
+    """
+    h = np.ascontiguousarray(h)
+    B, p, n, _ = h.shape
+    sign = 1.0 if mode == "inf" else -1.0
+    S = (h @ h).sum(axis=1)
+    tr2 = (h * h).sum(axis=(1, 2, 3))
+
+    U = _cached_grid(n, grid_size)
+    G = U.shape[0]
+    iu, ju = np.triu_indices(n)
+    coef = (np.concatenate([S[:, None], h], axis=1)[:, :, iu, ju]
+            * np.where(iu == ju, 1.0, 2.0))          # (B, p+1, K)
+    best = np.full(B, np.inf)                         # sign * f at the best node
+    arg = np.zeros(B, dtype=int)
+    gc = min(G, _CHUNK)
+    bc = max(1, _CHUNK // gc)
+    mon = np.empty((iu.size, gc))                     # u_i u_j, i <= j
+    for g0 in range(0, G, gc):
+        Ut = U[g0:g0 + gc].T
+        mon = mon[:, :Ut.shape[1]]
+        for k, (i, j) in enumerate(zip(iu, ju)):
+            np.multiply(Ut[i], Ut[j], out=mon[k])
+        for b0 in range(0, B, bc):
+            q = coef[b0:b0 + bc] @ mon                # u^T S u, u^T h_r u
+            f = tr2[b0:b0 + bc, None] - 2.0 * q[:, 0]
+            for r in range(1, p + 1):
+                f += q[:, r] * q[:, r]
+            f *= sign
+            a = np.argmin(f, axis=1)
+            v = f[np.arange(f.shape[0]), a]
+            better = v < best[b0:b0 + bc]
+            best[b0:b0 + bc][better] = v[better]
+            arg[b0:b0 + bc][better] = a[better] + g0
+    grid_f = sign * best
+    f = grid_f.copy()
+    u = U[arg]
+
+    scale = 1.0 + tr2
+    eye = np.eye(n)
+    live = np.ones(B, dtype=bool)
+    for _ in range(_NEWTON_ITERS):
+        idx = np.flatnonzero(live)
+        hl, Sl, ul = h[idx], S[idx], u[idx]
+        hu = (hl @ ul[:, None, :, None])[..., 0]    # (L, p, n)
+        quad = (hu * ul[:, None, :]).sum(-1)          # (L, p)
+        g = sign * (-4.0 * (Sl @ ul[:, :, None])[..., 0]
+                    + 4.0 * (quad[:, None, :] @ hu)[:, 0])
+        gu = (g * ul).sum(-1)
+        g_r = g - gu[:, None] * ul
+        moving = np.sqrt((g_r * g_r).sum(-1)) > 1e-14 * scale[idx]
+        live[idx[~moving]] = False
+        if not moving.any():
+            break
+        idx, hl, Sl, ul, hu, quad, g, gu = (
+            x[moving] for x in (idx, hl, Sl, ul, hu, quad, g, gu))
+        L = idx.size
+        Q, _ = np.linalg.qr(np.concatenate(
+            [ul[:, :, None], np.broadcast_to(eye, (L, n, n))], axis=2))
+        V = Q[:, :, 1:]                               # tangent basis at u
+        Vt = V.transpose(0, 2, 1)
+        H = (sign * (-4.0 * Sl + 8.0 * (hu.transpose(0, 2, 1) @ hu)
+                     + 4.0 * (quad[:, :, None, None] * hl).sum(axis=1))
+             - gu[:, None, None] * eye)
+        w, E = np.linalg.eigh(Vt @ H @ V)
+        floor = 1e-8 * (1.0 + np.abs(w).max(-1))
+        w = np.maximum(w, floor[:, None])
+        step = -(V @ (E @ ((E.transpose(0, 2, 1) @ (Vt @ g[:, :, None]))
+                           / w[:, :, None])))[..., 0]
+        # Backtracking: halve each form's step until its value improves.
+        t = np.ones(L)
+        pend = np.arange(L)
+        for _ in range(30):
+            cand = ul[pend] + t[pend, None] * step[pend]
+            cand /= np.sqrt((cand * cand).sum(-1))[:, None]
+            j = idx[pend]
+            fc = _values_at(h[j], S[j], tr2[j], cand)
+            ok = sign * fc < sign * f[j]
+            u[j[ok]] = cand[ok]
+            f[j[ok]] = fc[ok]
+            pend = pend[~ok]
+            if pend.size == 0:
+                break
+            t[pend] *= 0.5
+        live[idx[pend]] = False
+    return f, u, grid_f
 
 
 def extremize_hyperplane(h: SecondForm, mode: str, *,
-                         grid_size: int | None = None,
-                         refine_iters: int = 60) -> HyperplaneExtremum:
+                         grid_size: int | None = None) -> HyperplaneExtremum:
     """Extremize C(u-perp) over unit u.
 
     Hypersurfaces (p = 1) take the exact spectral closed form of
     `_hypersurface_extrema`; the certificate is ``{"method": "closed_form"}``
-    and `grid_size`/`refine_iters` are unused. For p >= 2 a deterministic
-    quasi-uniform sphere grid (`sphere_grid`) is followed by a safeguarded
-    Newton polish on the sphere; the certificate gives the method
+    and `grid_size` is unused. For p >= 2 this is `_grid_newton` on the one
+    form: a deterministic quasi-uniform sphere grid (`sphere_grid`, by
+    default 4096 2^(n-3) nodes up to 32768) followed by a safeguarded Newton
+    polish on the sphere; the certificate gives the method
     ``"grid_newton"``, the grid nodes, the Newton iteration cap and the best
     grid value. The polished point is always feasible, so there `inf`
     results upper-bound the true infimum and `sup` results lower-bound the
     true supremum.
     """
-    if mode not in ("inf", "sup"):
-        raise ValueError("mode must be 'inf' or 'sup'")
     n = h.n
-    if n < 3:
-        raise ValueError("hyperplane extremization needs n >= 3")
+    _check_extremum_args(mode, n)
     if h.p == 1:
         vals, us = _hypersurface_extrema(h.h, mode)
         return HyperplaneExtremum(mode, float(vals[0]) / (n - 1), us[0],
                                   {"method": "closed_form"})
     if grid_size is None:
         grid_size = min(32768, 4096 * 2 ** (n - 3))
-
-    sign = 1.0 if mode == "inf" else -1.0
-    value, grad, hess, tr2 = _objective_parts(h.h)
-    scale = 1.0 + tr2
-
-    U = sphere_grid(n, grid_size)
-    vals = _batch_values(h.h[None], U)[0]
-    idx = int(np.argmin(sign * vals))
-    u = U[idx].copy()
-    fu = float(vals[idx])
-
-    # Safeguarded Riemannian Newton: clip the restricted Hessian to be
-    # positive (for the chosen direction), backtrack on the retraction.
-    for _ in range(refine_iters):
-        g_full = sign * grad(u)
-        g_r = g_full - (g_full @ u) * u
-        if np.linalg.norm(g_r) <= 1e-14 * scale:
-            break
-        V = _tangent_basis(u)
-        H_full = sign * hess(u) - (g_full @ u) * np.eye(n)
-        H_r = V.T @ H_full @ V
-        w, E = np.linalg.eigh(H_r)
-        floor = 1e-8 * (1.0 + np.abs(w).max())
-        w = np.maximum(w, floor)
-        step = -V @ (E @ ((E.T @ (V.T @ g_full)) / w))
-        t = 1.0
-        accepted = False
-        for _ in range(30):
-            cand = u + t * step
-            cand /= np.linalg.norm(cand)
-            fc = value(cand)
-            if sign * fc < sign * fu:
-                u, fu = cand, fc
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-
-    cval = fu / (n - 1)
-    cert = {"method": "grid_newton", "grid_nodes": int(U.shape[0]),
-            "refine_iters": refine_iters,
-            "grid_value": float(vals[idx]) / (n - 1)}
-    return HyperplaneExtremum(mode, cval, u, cert)
-
-
-def _batch_values(h: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """(n-1) C(u-perp) for a batch: h (B,p,n,n), U (G,n) -> (B,G)."""
-    B, p, n, _ = h.shape
-    G = U.shape[0]
-    M = np.einsum("gi,gj->gij", U, U).reshape(G, n * n)
-    S = np.einsum("brij,brjk->bik", h, h).reshape(B, n * n)
-    tr2 = np.einsum("brij,brij->b", h, h)
-    E1 = S @ M.T                                          # (B, G)
-    E2 = (h.reshape(B * p, n * n) @ M.T).reshape(B, p, G)  # u^T h_r u
-    return tr2[:, None] - 2.0 * E1 + np.sum(E2 ** 2, axis=1)
+    f, u, grid_f = _grid_newton(h.h[None], mode, grid_size)
+    cert = {"method": "grid_newton",
+            "grid_nodes": int(_cached_grid(n, grid_size).shape[0]),
+            "refine_iters": _NEWTON_ITERS,
+            "grid_value": float(grid_f[0]) / (n - 1)}
+    return HyperplaneExtremum(mode, float(f[0]) / (n - 1), u[0], cert)
 
 
 def hyperplane_extrema_batch(h: np.ndarray, mode: str, *,
-                             grid_size: int = 512,
-                             refine_iters: int = 40) -> np.ndarray:
+                             grid_size: int = 512) -> np.ndarray:
     """Hyperplane extrema C(u-perp) for a batch of forms h of shape (B,p,n,n).
 
-    p = 1 is exact (the closed form of `_hypersurface_extrema`). For p >= 2,
-    grid seed plus vectorized projected-gradient refinement with
-    per-instance adaptive steps; every iterate is feasible, so the returned
-    values are conservative bounds in the sense documented on
-    `extremize_hyperplane`.
+    p = 1 is exact (the closed form of `_hypersurface_extrema`). For p >= 2
+    this is the grid+Newton path of `extremize_hyperplane`, run on the whole
+    batch; at equal `grid_size` each value equals that function's, bit for
+    bit, and the values are conservative bounds in the sense documented
+    there.
     """
-    if mode not in ("inf", "sup"):
-        raise ValueError("mode must be 'inf' or 'sup'")
     h = np.asarray(h, dtype=float)
-    B, p, n, _ = h.shape
+    _, p, n, _ = h.shape
+    _check_extremum_args(mode, n)
     if p == 1:
         return _hypersurface_extrema(h[:, 0], mode)[0] / (n - 1)
-    sign = 1.0 if mode == "inf" else -1.0
-
-    U = sphere_grid(n, grid_size)
-    vals = _batch_values(h, U)
-    idx = np.argmin(sign * vals, axis=1)
-    u = U[idx].copy()                           # (B, n)
-    f = vals[np.arange(B), idx]
-
-    S = np.einsum("brij,brjk->bik", h, h)
-    tr2 = np.einsum("brij,brij->b", h, h)
-
-    def fval(uu):
-        hu = np.einsum("brij,bj->bri", h, uu)
-        quad = np.einsum("bri,bi->br", hu, uu)
-        return (tr2 - 2.0 * np.einsum("bri,bri->b", hu, hu)
-                + np.einsum("br,br->b", quad, quad))
-
-    def fgrad(uu):
-        hu = np.einsum("brij,bj->bri", h, uu)
-        quad = np.einsum("bri,bi->br", hu, uu)
-        return (-4.0 * np.einsum("bik,bk->bi", S, uu)
-                + 4.0 * np.einsum("br,bri->bi", quad, hu))
-
-    alpha = np.full(B, 0.05)
-    for _ in range(refine_iters):
-        g = sign * fgrad(u)
-        g -= np.einsum("bi,bi->b", g, u)[:, None] * u
-        gn = np.linalg.norm(g, axis=1, keepdims=True)
-        gn[gn == 0.0] = 1.0
-        cand = u - (alpha[:, None] * g / gn)
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        fc = fval(cand)
-        better = sign * fc < sign * f
-        u[better] = cand[better]
-        f[better] = fc[better]
-        alpha = np.where(better, alpha * 1.3, alpha * 0.5)
-    return f / (n - 1)
+    return _grid_newton(h, mode, grid_size)[0] / (n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +420,11 @@ def tau_subspace(h: SecondForm, L, c_tilde: float = 0.0) -> float:
 # delta curvatures and proof polynomials
 # ---------------------------------------------------------------------------
 
-def delta_curvatures(h: SecondForm, *, grid_size: int | None = None):
-    """(delta_hat, delta_C, delta_c_legacy) from C and the refined hyperplane
-    extrema; requires n >= 3."""
-    n = h.n
-    if n < 3:
-        raise ValueError("delta-Casorati curvatures need n >= 3")
-    C = casorati_total(h)
-    inf_ext = extremize_hyperplane(h, "inf", grid_size=grid_size)
-    sup_ext = extremize_hyperplane(h, "sup", grid_size=grid_size)
-    delta_hat = 2.0 * C - (2.0 * n - 1.0) / (2.0 * n) * sup_ext.value
-    delta_C = 0.5 * C + (n + 1.0) / (2.0 * n) * inf_ext.value
-    delta_legacy = 0.5 * C + (n + 1.0) / (2.0 * n * (n - 1.0)) * inf_ext.value
-    return delta_hat, delta_C, delta_legacy
+def delta_curvatures(h: SecondForm):
+    """(delta_hat, delta_C, delta_c_legacy), the fields of
+    `inequality_report`; requires n >= 3."""
+    rep = inequality_report(h)
+    return rep.delta_hat, rep.delta_C, rep.delta_c_legacy
 
 
 def proof_polynomial(h: SecondForm, u, variant: str) -> float:
@@ -525,16 +524,6 @@ def oprea_qp(variant: str, n: int, k: float) -> QPSolution:
 # ---------------------------------------------------------------------------
 # Ricci, Einstein, Weyl
 # ---------------------------------------------------------------------------
-
-def _gauss_riemann(h: SecondForm, c_tilde: float) -> np.ndarray:
-    n = h.n
-    eye = np.eye(n)
-    hh = h.h
-    return (c_tilde * (np.einsum("ik,jl->ijkl", eye, eye)
-                       - np.einsum("il,jk->ijkl", eye, eye))
-            + np.einsum("rik,rjl->ijkl", hh, hh)
-            - np.einsum("ril,rjk->ijkl", hh, hh))
-
 
 def ricci_values(h: SecondForm, c_tilde: float = 0.0) -> np.ndarray:
     """Frame Ricci curvatures Ric(e_i) = sum_{j != i} K(e_i ^ e_j)."""

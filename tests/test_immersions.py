@@ -149,6 +149,16 @@ class TestJets:
         d1 = first_partials(c, x)
         assert np.abs(d1 - jet2(c, x).d1).max() <= 1e-12
 
+    @pytest.mark.parametrize("name,params,x", [
+        ("hypersphere", {"R": 1.3, "n": 4}, [0.9, 1.4, 2.0, 0.7]),
+        ("chen_ideal", {"a": 1.0}, [0.8, 0.3, 1.1]),
+        ("flat_torus", {"r1": 1.0, "r2": 0.7}, [0.5, 1.7]),
+        ("paraboloid", {"c": 0.6}, [0.2, -0.3]),
+    ])
+    def test_numeric_first_partials_are_jet_d1(self, name, params, x):
+        c = make_chart(name, params, jet_mode="numeric")
+        assert np.array_equal(first_partials(c, x), jet2(c, x).d1)
+
     def test_chen_generic_parameter(self):
         c = make_chart("chen_ideal", {"a": 2.0})
         x = np.array([0.4, 0.1, 0.9])

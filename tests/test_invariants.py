@@ -27,6 +27,7 @@ from casorati.invariants import (
     tau_subspace,
     weyl_norm,
 )
+from casorati.invariants import _cached_grid
 
 
 def diag_form(*vals, p=1):
@@ -226,6 +227,74 @@ class TestHypersurfaceClosedForm:
                 assert got == pytest.approx(base[mode], abs=tol)
 
 
+def random_forms(n, p, count, seed):
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(-1.0, 1.0, (count, p, n, n))
+    return 0.5 * (h + h.transpose(0, 1, 3, 2))
+
+
+class TestGridNewton:
+    """p >= 2: one grid+Newton path behind both extremum entry points."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_batch_matches_scalar(self, n, p):
+        h = random_forms(n, p, 12, seed=10 * n + p)
+        for mode in ("inf", "sup"):
+            batch = hyperplane_extrema_batch(h, mode, grid_size=512)
+            scalar = [extremize_hyperplane(SecondForm(n, p, x), mode,
+                                           grid_size=512).value for x in h]
+            assert np.array_equal(batch, scalar), mode
+            # the same symmetric forms, as a non-contiguous view
+            view = h.transpose(0, 1, 3, 2)
+            assert np.array_equal(
+                hyperplane_extrema_batch(view, mode, grid_size=512), batch)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_point_is_feasible(self, n):
+        for x in random_forms(n, 2, 3, seed=n):
+            sf = SecondForm(n, 2, x)
+            tol = 1e-12 * (1.0 + np.sum(x * x))
+            for mode in ("inf", "sup"):
+                ext = extremize_hyperplane(sf, mode)
+                assert abs(np.linalg.norm(ext.u) - 1.0) <= 1e-12
+                assert casorati_hyperplane(sf, ext.u) == pytest.approx(
+                    ext.value, abs=tol), mode
+
+    def test_certificate(self):
+        sf = SecondForm(4, 3, random_forms(4, 3, 1, seed=2)[0])
+        inf = extremize_hyperplane(sf, "inf")
+        sup = extremize_hyperplane(sf, "sup")
+        for ext in (inf, sup):
+            assert set(ext.certificate) == {"method", "grid_nodes",
+                                            "refine_iters", "grid_value"}
+            assert ext.certificate["grid_nodes"] == 8192
+            assert ext.certificate["refine_iters"] > 0
+        assert inf.value <= inf.certificate["grid_value"]
+        assert sup.value >= sup.certificate["grid_value"]
+
+    def test_batch_rejects_bad_input(self):
+        for p in (1, 2):
+            with pytest.raises(ValueError):
+                hyperplane_extrema_batch(np.zeros((4, p, 2, 2)), "inf")
+        with pytest.raises(ValueError):
+            hyperplane_extrema_batch(np.zeros((4, 2, 3, 3)), "max")
+
+    def test_zero_form(self):
+        for mode in ("inf", "sup"):
+            assert np.array_equal(
+                hyperplane_extrema_batch(np.zeros((3, 2, 4, 4)), mode),
+                np.zeros(3))
+
+    def test_grid_cache_is_read_only(self):
+        U = _cached_grid(4, 512)
+        assert U is _cached_grid(4, 512)
+        assert not U.flags.writeable
+        fresh = sphere_grid(4, 512)
+        assert fresh.flags.writeable and fresh is not sphere_grid(4, 512)
+        assert np.array_equal(U, fresh)
+
+
 class TestTau:
     def test_matches_pairwise_sectional_sums(self):
         # Independent route: tau = sum_{i<j} K_ij with the Gauss-equation
@@ -283,6 +352,12 @@ class TestDeltaCurvatures:
         assert dC == pytest.approx(5.0 / 3.0 * lam ** 2, abs=1e-10)
         dh, _, _ = delta_curvatures(diag_form(2.0 * lam, 2.0 * lam, lam))
         assert dh == pytest.approx(8.0 / 3.0 * lam ** 2, abs=1e-10)
+
+    def test_fields_of_report(self):
+        sf = SecondForm(4, 2, random_forms(4, 2, 1, seed=4)[0])
+        rep = inequality_report(sf)
+        assert delta_curvatures(sf) == (rep.delta_hat, rep.delta_C,
+                                        rep.delta_c_legacy)
 
     def test_needs_three_dimensions(self):
         with pytest.raises(ValueError):
