@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,9 @@ MAX_GRID_POINTS = 10 ** 6
 # `qp` certifies its minimizer with a dense eigendecomposition of the
 # (n-1) x (n-1) restricted Hessian, O(n^3): about 0.2 s at this limit.
 MAX_QP_N = 1000
+# A p >= 2 extremum scans the sphere grid through n(n+1)/2 monomial rows of
+# up to 2^14 doubles each: about 360 MB peak and 2 s per report at this limit.
+MAX_SYNTHETIC_N = 64
 
 
 def _finite(value: float, what: str) -> float:
@@ -118,6 +122,9 @@ def _synthetic_from_dict(data: dict) -> tuple:
     except (TypeError, OverflowError) as exc:  # null, list, infinite n or p
         raise ValueError(f"synthetic n, p and c_tilde must be finite "
                          f"numbers: {exc}") from exc
+    if n > MAX_SYNTHETIC_N:
+        raise ValueError(f"synthetic n = {n} exceeds the limit "
+                         f"MAX_SYNTHETIC_N = {MAX_SYNTHETIC_N}")
     h = np.asarray(data["h"], dtype=float)
     sf = SecondForm(n, p, h)  # validates shape, finiteness and symmetry
     return sf, _finite(c_tilde, "c_tilde")
@@ -272,6 +279,7 @@ def _cmd_verify(args) -> int:
     checked = 0
     worst_slack = ("", math.inf)
     worst_gauss = ("", 0.0)
+    skipped = Counter()  # reason -> points of the chart grid not checked
 
     if args.synthetic:
         corpus = json.loads(Path(args.synthetic).read_text(encoding="utf-8"))
@@ -299,11 +307,16 @@ def _cmd_verify(args) -> int:
         for pt in points:
             label = ",".join(f"{a}={v:.6g}" for a, v in zip(chart.axis_names, pt))
             if not domain_check(chart, pt).admissible:
+                skipped["inadmissible"] += 1
                 continue
             try:
                 sf, _ = _chart_secondform(chart, pt)
                 riem = intrinsic_riemann(chart, pt, jet_mode=args.jet_mode)
-            except (IllConditionedPointError, BoundaryProximityError):
+            except IllConditionedPointError:
+                skipped["ill-conditioned"] += 1
+                continue
+            except BoundaryProximityError:
+                skipped["boundary stencil"] += 1
                 continue
             checked += 1
             resid = gauss_residual(sf, riem, 0.0)
@@ -320,6 +333,9 @@ def _cmd_verify(args) -> int:
                     violations.append(f"{label}: slack {s:.3e}")
 
     print(f"verify: {checked} inputs checked, {len(violations)} violations")
+    if skipped:
+        reasons = ", ".join(f"{r} {k}" for r, k in skipped.items())
+        print(f"  skipped: {skipped.total()} ({reasons})")
     if worst_slack[0]:
         print(f"  worst slack: {worst_slack[1]:.6e} at {worst_slack[0]}")
     if worst_gauss[0]:

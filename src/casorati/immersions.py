@@ -96,12 +96,14 @@ def _get_param(params: dict, key: str, default: float, positive: bool = True) ->
 
 # --- hypersphere: round S^n(R) in E^(n+1), polar angles ------------------
 
-def _sphere_factor(tag: str, order: int, phi: float) -> float:
+def _sphere_factor(tag: str, order: int, s, c):
+    """Derivative of the given order of one polar factor, from the sine s and
+    cosine c of its angle (floats or arrays)."""
     if tag == "one":
         return 1.0 if order == 0 else 0.0
     if tag == "sin":
-        return (math.sin(phi), math.cos(phi), -math.sin(phi))[order]
-    return (math.cos(phi), -math.sin(phi), -math.cos(phi))[order]
+        return s if order == 0 else c if order == 1 else -s
+    return c if order == 0 else -s if order == 1 else -c
 
 
 def _make_hypersphere(params: dict, margin: float):
@@ -125,49 +127,62 @@ def _make_hypersphere(params: dict, margin: float):
             row = ["sin"] * n
         factors.append(row)
 
-    def position(x: np.ndarray) -> np.ndarray:
-        out = np.empty(N)
+    def sin_cos(x: np.ndarray) -> tuple:
+        # Per-axis sines and cosines: floats for one point (scalar arithmetic
+        # is faster there), arrays over the points otherwise.
+        s, c = np.sin(x.T), np.cos(x.T)
+        return (s.tolist(), c.tolist()) if x.ndim == 1 else (s, c)
+
+    def factor_tables(x: np.ndarray, orders: tuple) -> list:
+        # tables[k][m][j]: derivative orders[k] of factor (m, j) at x[..., j].
+        s, c = sin_cos(x)
+        return [[[_sphere_factor(factors[m][j], k, s[j], c[j]) for j in range(n)]
+                 for m in range(N)] for k in orders]
+
+    def product(v, row: list, skip: tuple):
+        # v times the factors of one coordinate, in axis order, leaving out
+        # the skipped axes.
+        for j, f in enumerate(row):
+            if j not in skip:
+                v = v * f
+        return v
+
+    def d1_from(vals: list, der1: list, lead: tuple) -> np.ndarray:
+        d1 = np.empty(lead + (n, N))
         for m in range(N):
-            v = R
-            for j in range(n):
-                v *= _sphere_factor(factors[m][j], 0, x[j])
-            out[m] = v
-        return out
+            for a in range(n):
+                d1[..., a, m] = product(R * der1[m][a], vals[m], (a,))
+        return d1
+
+    def position(x: np.ndarray) -> np.ndarray:
+        # Coordinate m is (R s_0 ... s_{m-1}) c_m, the last R s_0 ... s_{n-1};
+        # the factors 1 of the table are exact and left out.
+        s, c = sin_cos(x)
+        out, v = [], R
+        for j in range(n):
+            out.append(v * c[j])
+            v = v * s[j]
+        out.append(v)
+        return np.array(out).T
+
+    def analytic_d1(x: np.ndarray) -> np.ndarray:
+        return d1_from(*factor_tables(x, (0, 1)), x.shape[:-1])
 
     def analytic_jet(x: np.ndarray) -> Jet2:
-        pos = np.empty(N)
-        d1 = np.zeros((n, N))
-        d2 = np.zeros((n, n, N))
+        vals, der1, der2 = factor_tables(x, (0, 1, 2))
+        d2 = np.empty((n, n, N))
         for m in range(N):
-            vals = [_sphere_factor(factors[m][j], 0, x[j]) for j in range(n)]
-            der1 = [_sphere_factor(factors[m][j], 1, x[j]) for j in range(n)]
-            der2 = [_sphere_factor(factors[m][j], 2, x[j]) for j in range(n)]
-            base = R * math.prod(vals)
-            pos[m] = base
             for a in range(n):
-                prod_a = R * der1[a]
-                for j in range(n):
-                    if j != a:
-                        prod_a *= vals[j]
-                d1[a, m] = prod_a
-                for b in range(a, n):
-                    if b == a:
-                        prod_ab = R * der2[a]
-                        for j in range(n):
-                            if j != a:
-                                prod_ab *= vals[j]
-                    else:
-                        prod_ab = R * der1[a] * der1[b]
-                        for j in range(n):
-                            if j != a and j != b:
-                                prod_ab *= vals[j]
-                    d2[a, b, m] = prod_ab
-                    d2[b, a, m] = prod_ab
-        return Jet2(pos, d1, d2)
+                d2[a, a, m] = product(R * der2[m][a], vals[m], (a,))
+                for b in range(a + 1, n):
+                    d2[a, b, m] = d2[b, a, m] = product(
+                        R * der1[m][a] * der1[m][b], vals[m], (a, b))
+        pos = np.array([R * math.prod(row) for row in vals])
+        return Jet2(pos, d1_from(vals, der1, ()), d2)
 
     domain = tuple((margin, math.pi - margin) for _ in range(n - 1)) + ((0.0, 2.0 * math.pi),)
     names = tuple(f"phi{j + 1}" for j in range(n))
-    return n, 1, domain, names, {"R": R, "n": n}, position, analytic_jet
+    return n, 1, domain, names, {"R": R, "n": n}, position, analytic_jet, analytic_d1
 
 
 # --- chen_ideal: rotational hypersurface of E^4 with sd-profile ----------
@@ -246,7 +261,10 @@ def _make_chen_ideal(params: dict, margin: float):
     domain = ((margin, t_hi - margin),
               (-0.5 * math.pi + margin, 0.5 * math.pi - margin),
               (0.0, 2.0 * math.pi))
-    return 3, 1, domain, ("t", "u", "v"), {"a": a}, position, analytic_jet, analytic_d1
+    # Points of shape (G, n) loop over the scalar Landen sweep: np.arcsin
+    # rounds differently from its math.asin on some arguments.
+    return (3, 1, domain, ("t", "u", "v"), {"a": a}, _per_point(position),
+            analytic_jet, _per_point(analytic_d1))
 
 
 # --- flat_torus: S^1(r1) x S^1(r2) in E^4 --------------------------------
@@ -256,23 +274,29 @@ def _make_flat_torus(params: dict, margin: float):
     r2 = _get_param(params, "r2", 1.0)
 
     def position(x: np.ndarray) -> np.ndarray:
-        s, t = x
-        return np.array([r1 * math.cos(s), r1 * math.sin(s),
-                         r2 * math.cos(t), r2 * math.sin(t)])
+        s, t = x.T
+        return np.array([r1 * np.cos(s), r1 * np.sin(s),
+                         r2 * np.cos(t), r2 * np.sin(t)]).T
+
+    def analytic_d1(x: np.ndarray) -> np.ndarray:
+        s, t = x.T
+        d1 = np.zeros(x.shape[:-1] + (2, 4))
+        d1[..., 0, 0] = -r1 * np.sin(s)
+        d1[..., 0, 1] = r1 * np.cos(s)
+        d1[..., 1, 2] = -r2 * np.sin(t)
+        d1[..., 1, 3] = r2 * np.cos(t)
+        return d1
 
     def analytic_jet(x: np.ndarray) -> Jet2:
         s, t = x
-        pos = position(x)
-        d1 = np.zeros((2, 4))
-        d1[0] = [-r1 * math.sin(s), r1 * math.cos(s), 0.0, 0.0]
-        d1[1] = [0.0, 0.0, -r2 * math.sin(t), r2 * math.cos(t)]
         d2 = np.zeros((2, 2, 4))
         d2[0, 0] = [-r1 * math.cos(s), -r1 * math.sin(s), 0.0, 0.0]
         d2[1, 1] = [0.0, 0.0, -r2 * math.cos(t), -r2 * math.sin(t)]
-        return Jet2(pos, d1, d2)
+        return Jet2(position(x), analytic_d1(x), d2)
 
     domain = ((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi))
-    return 2, 2, domain, ("th1", "th2"), {"r1": r1, "r2": r2}, position, analytic_jet
+    return (2, 2, domain, ("th1", "th2"), {"r1": r1, "r2": r2}, position,
+            analytic_jet, analytic_d1)
 
 
 # --- paraboloid: graph patch z = c (x^2 + y^2) ---------------------------
@@ -281,21 +305,26 @@ def _make_paraboloid(params: dict, margin: float):
     c = _get_param(params, "c", 1.0)
 
     def position(x: np.ndarray) -> np.ndarray:
-        u, v = x
-        return np.array([u, v, c * (u * u + v * v)])
+        u, v = x.T
+        return np.array([u, v, c * (u * u + v * v)]).T
+
+    def analytic_d1(x: np.ndarray) -> np.ndarray:
+        u, v = x.T
+        d1 = np.zeros(x.shape[:-1] + (2, 3))
+        d1[..., 0, 0] = 1.0
+        d1[..., 1, 1] = 1.0
+        d1[..., 0, 2] = 2.0 * c * u
+        d1[..., 1, 2] = 2.0 * c * v
+        return d1
 
     def analytic_jet(x: np.ndarray) -> Jet2:
-        u, v = x
-        pos = position(x)
-        d1 = np.array([[1.0, 0.0, 2.0 * c * u],
-                       [0.0, 1.0, 2.0 * c * v]])
         d2 = np.zeros((2, 2, 3))
         d2[0, 0, 2] = 2.0 * c
         d2[1, 1, 2] = 2.0 * c
-        return Jet2(pos, d1, d2)
+        return Jet2(position(x), analytic_d1(x), d2)
 
     domain = ((-1.0, 1.0), (-1.0, 1.0))
-    return 2, 1, domain, ("x", "y"), {"c": c}, position, analytic_jet
+    return 2, 1, domain, ("x", "y"), {"c": c}, position, analytic_jet, analytic_d1
 
 
 _BUILDERS = {
@@ -313,9 +342,8 @@ def make_chart(name: str, params: dict | None = None, *,
         raise ValueError(f"unknown chart {name!r}; catalog: {CATALOG_NAMES}")
     if jet_mode not in ("analytic", "numeric"):
         raise ValueError(f"jet_mode must be 'analytic' or 'numeric', got {jet_mode!r}")
-    built = _BUILDERS[name](params or {}, margin)
-    n, p, domain, names, resolved, position, ajet = built[:7]
-    ad1 = built[7] if len(built) > 7 else None
+    n, p, domain, names, resolved, position, ajet, ad1 = _BUILDERS[name](
+        params or {}, margin)
     return Chart(name, n, p, domain, names, jet_mode, resolved, position, ajet, ad1)
 
 
@@ -347,6 +375,16 @@ def domain_check(chart: Chart, x) -> DomainVerdict:
     return DomainVerdict(True, dist, "interior")
 
 
+def _per_point(fn: Callable) -> Callable:
+    """Lift a function of one point x (n,) to points of shape (n,) or
+    (G, n), stacking the per-point results."""
+    def lifted(x: np.ndarray) -> np.ndarray:
+        if x.ndim == 1:
+            return fn(x)
+        return np.array([fn(y) for y in x])
+    return lifted
+
+
 def _shifted(position: Callable, x: np.ndarray, deltas) -> np.ndarray:
     """position(x + sum of d e_j over the (j, d) pairs in deltas)."""
     y = x.copy()
@@ -356,17 +394,23 @@ def _shifted(position: Callable, x: np.ndarray, deltas) -> np.ndarray:
 
 
 def _numeric_d1(position: Callable, x: np.ndarray) -> np.ndarray:
-    """First partials, shape (n, N): O(h^4) via one Richardson level on
-    central differences."""
+    """First partials at a point x (n,) or points x (G, n), shape (n, N) or
+    (G, n, N): O(h^4) via one Richardson level on central differences."""
     h1 = np.cbrt(_EPS) * np.maximum(1.0, np.abs(x))
+
+    def moved(j: int, d: np.ndarray) -> np.ndarray:
+        y = x.copy()
+        y[..., j] += d
+        return np.asarray(position(y), dtype=float)
+
     rows = []
-    for j, h in enumerate(h1):
-        D_h = (_shifted(position, x, [(j, h)])
-               - _shifted(position, x, [(j, -h)])) / (2.0 * h)
-        D_h2 = (_shifted(position, x, [(j, 0.5 * h)])
-                - _shifted(position, x, [(j, -0.5 * h)])) / h
+    for j in range(x.shape[-1]):
+        h = h1[..., j]
+        hc = h[..., None]
+        D_h = (moved(j, h) - moved(j, -h)) / (2.0 * hc)
+        D_h2 = (moved(j, 0.5 * h) - moved(j, -0.5 * h)) / hc
         rows.append((4.0 * D_h2 - D_h) / 3.0)
-    return np.array(rows)
+    return np.stack(rows, axis=-2)
 
 
 def _numeric_jet(position: Callable, x: np.ndarray, n: int) -> Jet2:
@@ -406,7 +450,8 @@ def _numeric_jet(position: Callable, x: np.ndarray, n: int) -> Jet2:
 
 
 def first_partials(chart: Chart, x, *, jet_mode: str | None = None) -> np.ndarray:
-    """First partials only, shape (n, N): the fast path for metric fields.
+    """First partials only: the fast path for metric fields. A point x of
+    shape (n,) gives shape (n, N); points of shape (G, n) give (G, n, N).
 
     Skips the admissibility and conditioning checks of `jet2`; callers that
     sweep finite-difference stencils are responsible for staying inside the
@@ -414,11 +459,8 @@ def first_partials(chart: Chart, x, *, jet_mode: str | None = None) -> np.ndarra
     """
     x = np.asarray(x, dtype=float)
     mode = jet_mode or chart.jet_mode
-    if mode == "analytic":
-        if chart._analytic_d1 is not None:
-            return chart._analytic_d1(x)
-        if chart._analytic_jet is not None:
-            return chart._analytic_jet(x).d1
+    if mode == "analytic" and chart._analytic_d1 is not None:
+        return chart._analytic_d1(x)
     return _numeric_d1(chart._position, x)
 
 

@@ -242,9 +242,10 @@ def _grid_newton(h: np.ndarray, mode: str, grid_size: int):
     monomials u_i u_j. Each form then runs its own Newton iteration on the
     sphere: the restricted Hessian is clipped to be positive (for the chosen
     direction), steps are halved until the value improves, and a form stops
-    once its tangent gradient is below 1e-14 (1 + |h|^2) or no halving
-    improves it. Every operation acts on one form at a time or elementwise,
-    so a form's result does not depend on the batch it came in.
+    once its tangent gradient is below 1e-14 (1 + |h|^2), no halving
+    improves it, or a failed step rounds back onto its current point. Every
+    operation acts on one form at a time or elementwise, so a form's result
+    does not depend on the batch it came in.
     Returns (n-1) C(u-perp) at the polished points, the unit points u and the
     best grid values.
     """
@@ -315,7 +316,9 @@ def _grid_newton(h: np.ndarray, mode: str, grid_size: int):
         w = np.maximum(w, floor[:, None])
         step = -(V @ (E @ ((E.transpose(0, 2, 1) @ (Vt @ g[:, :, None]))
                            / w[:, :, None])))[..., 0]
-        # Backtracking: halve each form's step until its value improves.
+        # Backtracking: halve each form's step until its value improves. A
+        # form whose failed candidate rounds back onto its current point
+        # has converged to rounding and stops.
         t = np.ones(L)
         pend = np.arange(L)
         for _ in range(30):
@@ -326,7 +329,14 @@ def _grid_newton(h: np.ndarray, mode: str, grid_size: int):
             ok = sign * fc < sign * f[j]
             u[j[ok]] = cand[ok]
             f[j[ok]] = fc[ok]
-            pend = pend[~ok]
+            fail = ~ok
+            if fail.any():
+                stuck = (cand == ul[pend]).all(-1)
+                if stuck.any():
+                    stuck &= fail
+                    live[j[stuck]] = False
+                    fail &= ~stuck
+            pend = pend[fail]
             if pend.size == 0:
                 break
             t[pend] *= 0.5

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casorati.cli import MAX_QP_N, main
+from casorati.cli import MAX_QP_N, MAX_SYNTHETIC_N, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -95,6 +95,14 @@ class TestNonFiniteInput:
     def test_grid_value(self, capsys):
         rc = main(["sweep", "--chart", "paraboloid", "--grid", "x=0:0.5:3,y=inf"])
         assert_input_error(capsys, rc, "grid value", "finite")
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_oversized_n(self, tmp_path, capsys, command):
+        # A tiny h: the limit is checked before anything of size n exists.
+        entry = {"n": MAX_SYNTHETIC_N + 1, "p": 2, "h": [[[0.0]]]}
+        path = write_synthetic(tmp_path, entry)
+        assert_input_error(capsys, main([command, "--synthetic", path]),
+                           "MAX_SYNTHETIC_N", str(MAX_SYNTHETIC_N))
 
     @pytest.mark.parametrize("entry", [
         identity_form(n=math.inf), identity_form(n=None),
@@ -237,6 +245,22 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == 0
         assert "0 violations" in out
+        assert "skipped" not in out
+
+    @pytest.mark.parametrize("chart,param,grid,summary,skipped", [
+        ("chen_ideal", "a=1", "t=0.0:3.7:4,u=0.2,v=1",
+         "verify: 2 inputs checked, 0 violations",
+         "  skipped: 2 (inadmissible 1, boundary stencil 1)"),
+        ("hypersphere", "R=2,n=4", "phi1=0.02,phi2=0.02,phi3=0.02,phi4=1",
+         "verify: 0 inputs checked, 0 violations",
+         "  skipped: 1 (ill-conditioned 1)"),
+    ])
+    def test_skips_counted_by_reason(self, capsys, chart, param, grid, summary,
+                                     skipped):
+        rc = main(["verify", "--chart", chart, "--param", param, "--grid", grid])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines[:2] == [summary, skipped]
 
     def test_synthetic_corpus_passes(self, tmp_path, capsys):
         rng = np.random.default_rng(9)

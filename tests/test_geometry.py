@@ -5,20 +5,104 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casorati.elliptic import jacobi_sd
 from casorati.geometry import (
     RiemannTensor,
     SecondForm,
+    _gauss_riemann,
     frame_at,
     gauss_residual,
     intrinsic_riemann,
     intrinsic_tau,
     second_form,
 )
-from casorati.immersions import BoundaryProximityError, make_chart
+from casorati.immersions import BoundaryProximityError, first_partials, make_chart
+from casorati.invariants import tau_from_h
 
 HALF = 1.0 / math.sqrt(2.0)
+EPS = np.finfo(float).eps
+
+
+# The scalar nested-loop stencil that the batched oracle replaced: one
+# `first_partials` call per metric point. Kept as the reference that
+# `intrinsic_riemann` must reproduce bit for bit.
+
+def reference_metric_fn(chart, jet_mode):
+    def g(y):
+        d1 = first_partials(chart, y, jet_mode=jet_mode)
+        return d1 @ d1.T
+    return g
+
+
+def reference_christoffel(gfun, y, n, step):
+    g0 = gfun(y)
+    ginv = np.linalg.inv(g0)
+    dg = np.empty((n, n, n))
+    h = step * np.maximum(1.0, np.abs(y))
+    for a in range(n):
+        e = np.zeros(n)
+        e[a] = 1.0
+        ha = h[a]
+        D1 = (gfun(y + ha * e) - gfun(y - ha * e)) / (2.0 * ha)
+        D2 = (gfun(y + 0.5 * ha * e) - gfun(y - 0.5 * ha * e)) / ha
+        dg[a] = (4.0 * D2 - D1) / 3.0
+    T = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    return 0.5 * np.einsum("kl,ijl->kij", ginv, T)
+
+
+def reference_riemann(chart, x, jet_mode):
+    x = np.asarray(x, dtype=float)
+    n = chart.n
+    analytic = jet_mode == "analytic"
+    gamma_step = float(np.cbrt(EPS)) if analytic else 1e-2
+    step = 2e-3 if analytic else 5e-2
+    frame = frame_at(chart, x, jet_mode=jet_mode)
+    gfun = reference_metric_fn(chart, jet_mode)
+    hs = step * np.maximum(1.0, np.abs(x))
+    gamma0 = reference_christoffel(gfun, x, n, gamma_step)
+    dgamma = np.empty((n, n, n, n))
+    for a in range(n):
+        e = np.zeros(n)
+        e[a] = 1.0
+        ha = hs[a]
+        D1 = (reference_christoffel(gfun, x + ha * e, n, gamma_step)
+              - reference_christoffel(gfun, x - ha * e, n, gamma_step)) / (2.0 * ha)
+        D2 = (reference_christoffel(gfun, x + 0.5 * ha * e, n, gamma_step)
+              - reference_christoffel(gfun, x - 0.5 * ha * e, n, gamma_step)) / ha
+        dgamma[a] = (4.0 * D2 - D1) / 3.0
+    rup = (np.einsum("adbc->dabc", dgamma)
+           - np.einsum("bdac->dabc", dgamma)
+           + np.einsum("dae,ebc->dabc", gamma0, gamma0)
+           - np.einsum("dbe,eac->dabc", gamma0, gamma0))
+    rm = np.einsum("eabc,ed->abcd", rup, gfun(x))
+    B = frame.coord_to_frame
+    return np.einsum("abcd,ai,bj,ck,dl->ijkl", rm.transpose(0, 1, 3, 2), B, B, B, B)
+
+
+# Interior points for both jet modes, and points within 0.05 of the
+# hypersphere poles (analytic only: the numeric stencil does not fit there).
+ORACLE_CASES = [
+    (name, params, x, mode)
+    for name, params, x in [
+        ("hypersphere", {"R": 1.3, "n": 2}, [1.1, 0.8]),
+        ("hypersphere", {"R": 2.0, "n": 3}, [0.9, 1.4, 2.0]),
+        ("hypersphere", {"R": 1.0, "n": 4}, [0.9, 1.4, 2.0, 0.7]),
+        ("chen_ideal", {"a": 1.0}, [0.8, 0.3, 1.1]),
+        ("flat_torus", {"r1": 1.0, "r2": 0.7}, [0.5, 1.7]),
+        ("paraboloid", {"c": 0.6}, [0.2, -0.3]),
+    ]
+    for mode in ("analytic", "numeric")
+] + [
+    ("hypersphere", {"R": 1.3, "n": 2}, [0.04, 2.0], "analytic"),
+    ("hypersphere", {"R": 1.3, "n": 2}, [3.1, 5.0], "analytic"),
+    ("hypersphere", {"R": 2.0, "n": 3}, [0.03, 1.4, 2.0], "analytic"),
+    ("hypersphere", {"R": 2.0, "n": 3}, [1.2, 3.1, 0.5], "analytic"),
+    ("hypersphere", {"R": 1.0, "n": 4}, [0.05, 1.2, 3.1, 0.5], "analytic"),
+    ("chen_ideal", {"a": 2.0}, [0.4, -1.5, 0.2], "analytic"),
+]
 
 
 class TestSecondFormType:
@@ -142,6 +226,54 @@ class TestIntrinsicCurvature:
         c = make_chart("chen_ideal", {"a": 1.0})
         with pytest.raises(BoundaryProximityError):
             intrinsic_riemann(c, [0.0015, 0.3, 1.1])
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("name,params,x,mode", ORACLE_CASES)
+    def test_equals_scalar_stencil(self, name, params, x, mode):
+        c = make_chart(name, params, jet_mode=mode)
+        got = intrinsic_riemann(c, x).components
+        assert np.array_equal(got, reference_riemann(c, x, mode))
+
+    @pytest.mark.parametrize("name,params", [
+        ("hypersphere", {"R": 1.3, "n": 2}),
+        ("hypersphere", {"R": 2.0, "n": 3}),
+        ("hypersphere", {"R": 1.0, "n": 4}),
+        ("chen_ideal", {"a": 1.0}),
+        ("flat_torus", {"r1": 1.0, "r2": 0.7}),
+        ("paraboloid", {"c": 0.6}),
+    ])
+    @pytest.mark.parametrize("mode", ["analytic", "numeric"])
+    def test_first_partials_over_points(self, name, params, mode):
+        c = make_chart(name, params, jet_mode=mode)
+        lo = np.array([b[0] for b in c.domain])
+        hi = np.array([b[1] for b in c.domain])
+        X = lo + (hi - lo) * np.random.default_rng(4).uniform(0.02, 0.98, (7, c.n))
+        X[0, -1] = -0.0
+        got = first_partials(c, X)
+        assert got.shape == (7, c.n, c.ambient_dim)
+        stacked = np.stack([first_partials(c, x) for x in X])
+        assert np.array_equal(got, stacked)
+        assert np.array_equal(np.signbit(got), np.signbit(stacked))
+
+
+class TestGaussIdentity:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 5), p=st.integers(1, 3),
+           entries=st.lists(st.floats(-5.0, 5.0), min_size=75, max_size=75),
+           c_tilde=st.floats(-3.0, 3.0))
+    def test_curvature_symmetries_and_tau(self, n, p, entries, c_tilde):
+        A = np.array(entries[:p * n * n]).reshape(p, n, n)
+        sf = SecondForm(n, p, 0.5 * (A + A.transpose(0, 2, 1)))
+        R = _gauss_riemann(sf, c_tilde)
+        tol = 1e-12 * (1.0 + np.sum(sf.h ** 2))
+        assert np.abs(R + np.einsum("jikl->ijkl", R)).max() <= tol
+        assert np.abs(R + np.einsum("ijlk->ijkl", R)).max() <= tol
+        assert np.abs(R - np.einsum("klij->ijkl", R)).max() <= tol
+        bianchi = R + np.einsum("iklj->ijkl", R) + np.einsum("iljk->ijkl", R)
+        assert np.abs(bianchi).max() <= tol
+        tau = sum(R[i, j, i, j] for i in range(n) for j in range(i + 1, n))
+        assert abs(tau - tau_from_h(sf, c_tilde)) <= tol
 
 
 class TestGaussResidual:
