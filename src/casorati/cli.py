@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +75,7 @@ def _parse_kv(spec: str, what: str) -> dict:
 def _parse_grid(spec: str, axis_names: tuple) -> list:
     """Grid spec 'axis=lo:hi:count' or 'axis=value'; returns points in
     deterministic row-major order over the chart's axis order."""
-    per_axis = {}
+    per_axis = {}  # axis -> (point count, function making its values)
     for item in spec.split(","):
         if "=" not in item:
             raise ValueError(f"bad grid entry {item!r}")
@@ -89,18 +90,18 @@ def _parse_grid(spec: str, axis_names: tuple) -> list:
             lo, hi, cnt = float(parts[0]), float(parts[1]), int(parts[2])
             if cnt < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"bad grid range {val!r}")
-            per_axis[key] = np.linspace(lo, hi, cnt)
+            per_axis[key] = (cnt, partial(np.linspace, lo, hi, cnt))
         else:
-            per_axis[key] = np.array([_finite(float(val), f"grid value {key!r}")])
+            value = _finite(float(val), f"grid value {key!r}")
+            per_axis[key] = (1, partial(np.array, [value]))
     missing = [a for a in axis_names if a not in per_axis]
     if missing:
         raise ValueError(f"grid spec missing axes {missing}")
-    total = 1
-    for a in axis_names:
-        total *= len(per_axis[a])
+    # Count before allocating: one oversized axis must not exhaust memory.
+    total = math.prod(per_axis[a][0] for a in axis_names)
     if total > MAX_GRID_POINTS:
         raise ValueError(f"grid has {total} points, limit is {MAX_GRID_POINTS}")
-    grids = np.meshgrid(*[per_axis[a] for a in axis_names], indexing="ij")
+    grids = np.meshgrid(*[per_axis[a][1]() for a in axis_names], indexing="ij")
     return [np.array(pt) for pt in zip(*[g.ravel() for g in grids])]
 
 
@@ -177,12 +178,13 @@ def _make_cli_chart(args):
                       margin=args.margin)
 
 
-def _classify_tol_for(args) -> float:
-    # Two error regimes: synthetic inputs are exact; chart-derived forms
-    # carry jet noise (larger for numeric jets).
-    if args.synthetic:
+def _classify_tol_for(jet_mode: str | None) -> float:
+    """Classification tolerance for a form from a chart in `jet_mode`, or
+    from synthetic input (None). Synthetic inputs are exact; chart-derived
+    forms carry jet noise, larger for numeric jets."""
+    if jet_mode is None:
         return 1e-8
-    return 1e-4 if args.jet_mode == "numeric" else 1e-6
+    return 1e-4 if jet_mode == "numeric" else 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +210,7 @@ def _cmd_report(args) -> int:
     if args.synthetic:
         sf, c_file = _load_synthetic(args.synthetic)
         c_tilde = args.c_tilde if args.c_tilde is not None else c_file
-        cond = None
+        cond, jet_mode = None, None
     else:
         if not args.chart or not args.point:
             raise ValueError("report needs --synthetic or both --chart and --point")
@@ -222,8 +224,8 @@ def _cmd_report(args) -> int:
         except KeyError as exc:
             raise ValueError(f"point missing axis {exc}") from exc
         sf, cond = _chart_secondform(chart, point)
-        c_tilde = 0.0
-    out = _report_dict(sf, c_tilde, _classify_tol_for(args), cond)
+        c_tilde, jet_mode = 0.0, chart.jet_mode
+    out = _report_dict(sf, c_tilde, _classify_tol_for(jet_mode), cond)
     _emit(json.dumps(out, indent=2, sort_keys=True), args.out)
     return 0
 
@@ -245,7 +247,8 @@ def _sweep_rows(args):
             row["status"] = "ill-conditioned"
             rows.append(row)
             continue
-        rep = _report_dict(sf, 0.0, _classify_tol_for(args), cond, echo_h=False)
+        rep = _report_dict(sf, 0.0, _classify_tol_for(chart.jet_mode), cond,
+                           echo_h=False)
         row["status"] = "ok"
         row.update(rep)
         rows.append(row)
@@ -285,11 +288,14 @@ def _cmd_verify(args) -> int:
         corpus = json.loads(Path(args.synthetic).read_text(encoding="utf-8"))
         if isinstance(corpus, dict):
             corpus = [corpus]
+        if not isinstance(corpus, list):
+            raise ValueError("synthetic corpus must be a JSON list of "
+                             "{n, p, c_tilde, h} objects or one such object")
         for i, entry in enumerate(corpus):
             sf, c_tilde = _synthetic_from_dict(entry)
             if sf.n < 3:
                 raise ValueError(f"synthetic entry {i}: n >= 3 required")
-            rep = inequality_report(sf, c_tilde, classify_tol=1e-8)
+            rep = inequality_report(sf, c_tilde, classify_tol=_classify_tol_for(None))
             checked += 1
             s = min(rep.slack11, rep.slack41)
             if s < worst_slack[1]:
@@ -302,7 +308,7 @@ def _cmd_verify(args) -> int:
         chart = _make_cli_chart(args)
         tol_geom = args.tol_geometric
         if tol_geom is None:
-            tol_geom = 1e-5 if args.jet_mode == "numeric" else 1e-7
+            tol_geom = 1e-5 if chart.jet_mode == "numeric" else 1e-7
         points = _parse_grid(args.grid, chart.axis_names)
         for pt in points:
             label = ",".join(f"{a}={v:.6g}" for a, v in zip(chart.axis_names, pt))
@@ -311,7 +317,7 @@ def _cmd_verify(args) -> int:
                 continue
             try:
                 sf, _ = _chart_secondform(chart, pt)
-                riem = intrinsic_riemann(chart, pt, jet_mode=args.jet_mode)
+                riem = intrinsic_riemann(chart, pt)
             except IllConditionedPointError:
                 skipped["ill-conditioned"] += 1
                 continue
@@ -325,7 +331,8 @@ def _cmd_verify(args) -> int:
             if resid > tol_geom:
                 violations.append(f"{label}: Gauss residual {resid:.3e}")
             if chart.n >= 3:
-                rep = inequality_report(sf, 0.0, classify_tol=_classify_tol_for(args))
+                rep = inequality_report(sf, 0.0,
+                                        classify_tol=_classify_tol_for(chart.jet_mode))
                 s = min(rep.slack11, rep.slack41)
                 if s < worst_slack[1]:
                     worst_slack = (label, s)
@@ -401,7 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", required=True,
                     help="e.g. t=0.1:3.5:50,u=0.3,v=1.1")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--synthetic", default=None, help=argparse.SUPPRESS)
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("verify", help="batch inequality + Gauss checks")

@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+# Steps (outer, Christoffel) of the intrinsic curvature stencil per jet mode.
+# They track the two noise regimes: an analytic metric is clean enough for
+# small stencils, a numeric-jet metric carries ~1e-10 noise that the nested
+# differences would otherwise amplify.
+_RIEMANN_STEPS = {"analytic": (2e-3, float(np.cbrt(_EPS))), "numeric": (5e-2, 1e-2)}
 
 
 @dataclass(frozen=True)
@@ -79,15 +84,14 @@ class FramedPoint:
     coord_to_frame: np.ndarray = field(repr=False)  # B with e_i = sum_a B[a,i] d_a
 
 
-def frame_at(chart: Chart, x, *, jet_mode: str | None = None,
-             cond_threshold: float = 1e8) -> FramedPoint:
+def frame_at(chart: Chart, x) -> FramedPoint:
     """Adapted orthonormal frame at an admissible point.
 
     Raises IllConditionedPointError when the induced-metric condition number
-    exceeds the threshold.
+    exceeds `immersions.COND_LIMIT`.
     """
     x = np.asarray(x, dtype=float)
-    jet = jet2(chart, x, jet_mode=jet_mode, cond_threshold=cond_threshold)
+    jet = jet2(chart, x)
     n, N = chart.n, chart.ambient_dim
     A = jet.d1.T  # (N, n) columns are coordinate tangent vectors
     M = np.hstack([A, np.eye(N)])
@@ -138,30 +142,20 @@ def _richardson(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (4.0 * D2 - D1) / 3.0
 
 
-def intrinsic_riemann(chart: Chart, x, *, jet_mode: str | None = None,
-                      step: float | None = None,
-                      gamma_step: float | None = None) -> RiemannTensor:
+def intrinsic_riemann(chart: Chart, x) -> RiemannTensor:
     """Independent intrinsic route: Riemann tensor of the induced metric via
     finite-differenced Christoffel symbols, converted to the orthonormal
     tangent frame.
 
     The Christoffel symbols are differenced on a stencil of 1 + 4n centres,
     each with its own stencil of 1 + 4n metric points; all (1 + 4n)^2 first
-    partials come from one `first_partials` call.
-
-    Step defaults track the two noise regimes: an analytic metric is clean
-    enough for small stencils, a numeric-jet metric carries ~1e-10 noise that
-    the nested differences would otherwise amplify.
+    partials come from one `first_partials` call. The steps are those of
+    the chart's jet mode in `_RIEMANN_STEPS`.
     """
     x = np.asarray(x, dtype=float)
     n = chart.n
-    mode = jet_mode or chart.jet_mode
-    analytic = mode == "analytic" and chart._analytic_d1 is not None
-    if gamma_step is None:
-        gamma_step = float(np.cbrt(_EPS)) if analytic else 1e-2
-    if step is None:
-        step = 2e-3 if analytic else 5e-2
-    frame = frame_at(chart, x, jet_mode=jet_mode)
+    step, gamma_step = _RIEMANN_STEPS[chart.jet_mode]
+    frame = frame_at(chart, x)
 
     hs = step * np.maximum(1.0, np.abs(x))
     # Every stencil point (including the nested metric stencils) must stay
@@ -179,7 +173,7 @@ def intrinsic_riemann(chart: Chart, x, *, jet_mode: str | None = None,
     centres = _stencil(x, hs)
     gsteps = gamma_step * np.maximum(1.0, np.abs(centres))
     points = _stencil(centres, gsteps)
-    d1 = first_partials(chart, points.reshape(-1, n), jet_mode=jet_mode)
+    d1 = first_partials(chart, points.reshape(-1, n))
     g = (d1 @ d1.transpose(0, 2, 1)).reshape(points.shape[:2] + (n, n))
 
     # Gamma^k_ij at every centre: dg[c, a, j, l] = d_a g_jl,

@@ -1,15 +1,18 @@
 """Catalog of parametrized immersions into Euclidean space with 2-jet evaluation.
 
-Every chart maps an open parameter box in R^n into R^(n+p) and exposes both an
-analytic 2-jet (closed-form first and second partials) and a numeric one
-(central differences with one Richardson extrapolation level).
+Every chart maps an open parameter box in R^n into R^(n+p). Its jet mode is
+fixed when it is built: an analytic chart takes its first partials and 2-jets
+in closed form, a numeric one by central differences of the position with one
+Richardson extrapolation level. `first_partials`, `jet2` and `domain_check`
+read the chart and do not branch on its mode or its name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +28,7 @@ __all__ = [
     "BoundaryProximityError",
     "IllConditionedPointError",
     "CATALOG_NAMES",
+    "COND_LIMIT",
     "make_chart",
     "jet2",
     "domain_check",
@@ -33,6 +37,8 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+# Largest Gram-matrix condition number `jet2` accepts.
+COND_LIMIT = 1e8
 
 CATALOG_NAMES = ("hypersphere", "chen_ideal", "flat_torus", "paraboloid")
 
@@ -71,6 +77,13 @@ class DomainVerdict:
 
 @dataclass(frozen=True)
 class Chart:
+    """A catalog immersion in one jet mode.
+
+    `_position` and `_first_partials` take a point (n,) or points (G, n);
+    `_jet` takes one point. `_boundary` holds, per axis, the reasons
+    `domain_check` gives for a point past its low and its high end.
+    """
+
     name: str
     n: int
     p: int
@@ -79,8 +92,9 @@ class Chart:
     jet_mode: str
     params: dict
     _position: Callable = field(repr=False, compare=False)
-    _analytic_jet: Optional[Callable] = field(default=None, repr=False, compare=False)
-    _analytic_d1: Optional[Callable] = field(default=None, repr=False, compare=False)
+    _first_partials: Callable = field(repr=False, compare=False)
+    _jet: Callable = field(repr=False, compare=False)
+    _boundary: tuple = field(repr=False, compare=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -92,6 +106,11 @@ def _get_param(params: dict, key: str, default: float, positive: bool = True) ->
     if positive and v <= 0.0:
         raise ValueError(f"parameter {key!r} must be positive, got {v}")
     return v
+
+
+def _outside(names) -> tuple:
+    """Boundary reasons of axes with no singularity at either end."""
+    return tuple((f"outside open domain (axis {a})",) * 2 for a in names)
 
 
 # --- hypersphere: round S^n(R) in E^(n+1), polar angles ------------------
@@ -106,26 +125,15 @@ def _sphere_factor(tag: str, order: int, s, c):
     return c if order == 0 else -s if order == 1 else -c
 
 
-def _make_hypersphere(params: dict, margin: float):
+def _make_hypersphere(params: dict, margin: float) -> Chart:
     R = _get_param(params, "R", 1.0)
     n = int(params.get("n", 2))
     if n < 2:
         raise ValueError("hypersphere needs intrinsic dimension n >= 2")
     N = n + 1
     # Coordinate m of the immersion is R * prod_j factor[m][j](phi_j).
-    factors = []
-    for m in range(N):
-        row = []
-        for j in range(n):
-            if j < m:
-                row.append("sin")
-            elif j == m:
-                row.append("cos")
-            else:
-                row.append("one")
-        if m == N - 1:
-            row = ["sin"] * n
-        factors.append(row)
+    factors = ([["sin"] * m + ["cos"] + ["one"] * (n - 1 - m) for m in range(n)]
+               + [["sin"] * n])
 
     def sin_cos(x: np.ndarray) -> tuple:
         # Per-axis sines and cosines: floats for one point (scalar arithmetic
@@ -177,17 +185,19 @@ def _make_hypersphere(params: dict, margin: float):
                 for b in range(a + 1, n):
                     d2[a, b, m] = d2[b, a, m] = product(
                         R * der1[m][a] * der1[m][b], vals[m], (a, b))
-        pos = np.array([R * math.prod(row) for row in vals])
-        return Jet2(pos, d1_from(vals, der1, ()), d2)
+        return Jet2(position(x), d1_from(vals, der1, ()), d2)
 
     domain = tuple((margin, math.pi - margin) for _ in range(n - 1)) + ((0.0, 2.0 * math.pi),)
     names = tuple(f"phi{j + 1}" for j in range(n))
-    return n, 1, domain, names, {"R": R, "n": n}, position, analytic_jet, analytic_d1
+    boundary = tuple((f"polar coordinate singularity (axis {a})",) * 2
+                     for a in names[:-1]) + _outside(names[-1:])
+    return Chart("hypersphere", n, 1, domain, names, "analytic", {"R": R, "n": n},
+                 position, analytic_d1, analytic_jet, boundary)
 
 
 # --- chen_ideal: rotational hypersurface of E^4 with sd-profile ----------
 
-def _make_chen_ideal(params: dict, margin: float):
+def _make_chen_ideal(params: dict, margin: float) -> Chart:
     a = _get_param(params, "a", 1.0)
     k = _SQRT_HALF
     Kk = complete_K(k)
@@ -225,16 +235,26 @@ def _make_chen_ideal(params: dict, margin: float):
         S = sphere_dir(u, v)[0]
         return np.append(r * S, z)
 
-    def analytic_jet(x: np.ndarray) -> Jet2:
-        t, u, v = x
-        (r, rp, rpp, zp, zpp), z = profile_and_height(t)
-        S, Su, Sv, Suu, Suv, Svv = sphere_dir(u, v)
-        pos = np.append(r * S, z)
+    def d1_from(r, rp, zp, S, Su, Sv) -> np.ndarray:
         d1 = np.zeros((3, 4))
         d1[0, :3] = rp * S
         d1[0, 3] = zp
         d1[1, :3] = r * Su
         d1[2, :3] = r * Sv
+        return d1
+
+    def analytic_d1(x: np.ndarray) -> np.ndarray:
+        # First partials never need the height z, only z' = sd^2 / 2.
+        t, u, v = x
+        trip = jacobi_elliptic(a * t, k)
+        r, rp, _, zp, _ = profile_terms(trip.sn, trip.cn, trip.dn)
+        return d1_from(r, rp, zp, *sphere_dir(u, v)[:3])
+
+    def analytic_jet(x: np.ndarray) -> Jet2:
+        t, u, v = x
+        (r, rp, rpp, zp, zpp), z = profile_and_height(t)
+        S, Su, Sv, Suu, Suv, Svv = sphere_dir(u, v)
+        pos = np.append(r * S, z)
         d2 = np.zeros((3, 3, 4))
         d2[0, 0, :3] = rpp * S
         d2[0, 0, 3] = zpp
@@ -243,33 +263,23 @@ def _make_chen_ideal(params: dict, margin: float):
         d2[1, 1, :3] = r * Suu
         d2[1, 2, :3] = d2[2, 1, :3] = r * Suv
         d2[2, 2, :3] = r * Svv
-        return Jet2(pos, d1, d2)
-
-    def analytic_d1(x: np.ndarray) -> np.ndarray:
-        # First partials never need the height z, only z' = sd^2 / 2.
-        t, u, v = x
-        trip = jacobi_elliptic(a * t, k)
-        r, rp, _, zp, _ = profile_terms(trip.sn, trip.cn, trip.dn)
-        S, Su, Sv = sphere_dir(u, v)[:3]
-        d1 = np.zeros((3, 4))
-        d1[0, :3] = rp * S
-        d1[0, 3] = zp
-        d1[1, :3] = r * Su
-        d1[2, :3] = r * Sv
-        return d1
+        return Jet2(pos, d1_from(r, rp, zp, S, Su, Sv), d2)
 
     domain = ((margin, t_hi - margin),
               (-0.5 * math.pi + margin, 0.5 * math.pi - margin),
               (0.0, 2.0 * math.pi))
+    boundary = (("rotational axis (t near 0)", "domain endpoint (t near 2K/a)"),
+                ("coordinate singularity (cos u near 0)",) * 2) + _outside(("v",))
     # Points of shape (G, n) loop over the scalar Landen sweep: np.arcsin
     # rounds differently from its math.asin on some arguments.
-    return (3, 1, domain, ("t", "u", "v"), {"a": a}, _per_point(position),
-            analytic_jet, _per_point(analytic_d1))
+    return Chart("chen_ideal", 3, 1, domain, ("t", "u", "v"), "analytic", {"a": a},
+                 _per_point(position), _per_point(analytic_d1), analytic_jet,
+                 boundary)
 
 
 # --- flat_torus: S^1(r1) x S^1(r2) in E^4 --------------------------------
 
-def _make_flat_torus(params: dict, margin: float):
+def _make_flat_torus(params: dict, margin: float) -> Chart:
     r1 = _get_param(params, "r1", 1.0)
     r2 = _get_param(params, "r2", 1.0)
 
@@ -295,13 +305,14 @@ def _make_flat_torus(params: dict, margin: float):
         return Jet2(position(x), analytic_d1(x), d2)
 
     domain = ((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi))
-    return (2, 2, domain, ("th1", "th2"), {"r1": r1, "r2": r2}, position,
-            analytic_jet, analytic_d1)
+    names = ("th1", "th2")
+    return Chart("flat_torus", 2, 2, domain, names, "analytic", {"r1": r1, "r2": r2},
+                 position, analytic_d1, analytic_jet, _outside(names))
 
 
 # --- paraboloid: graph patch z = c (x^2 + y^2) ---------------------------
 
-def _make_paraboloid(params: dict, margin: float):
+def _make_paraboloid(params: dict, margin: float) -> Chart:
     c = _get_param(params, "c", 1.0)
 
     def position(x: np.ndarray) -> np.ndarray:
@@ -324,7 +335,9 @@ def _make_paraboloid(params: dict, margin: float):
         return Jet2(position(x), analytic_d1(x), d2)
 
     domain = ((-1.0, 1.0), (-1.0, 1.0))
-    return 2, 1, domain, ("x", "y"), {"c": c}, position, analytic_jet, analytic_d1
+    names = ("x", "y")
+    return Chart("paraboloid", 2, 1, domain, names, "analytic", {"c": c},
+                 position, analytic_d1, analytic_jet, _outside(names))
 
 
 _BUILDERS = {
@@ -337,14 +350,18 @@ _BUILDERS = {
 
 def make_chart(name: str, params: dict | None = None, *,
                jet_mode: str = "analytic", margin: float = 1e-3) -> Chart:
-    """Build a catalog chart. Raises ValueError for unknown names or bad params."""
+    """Build a catalog chart in the given jet mode. Raises ValueError for
+    unknown names, modes or bad params."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown chart {name!r}; catalog: {CATALOG_NAMES}")
     if jet_mode not in ("analytic", "numeric"):
         raise ValueError(f"jet_mode must be 'analytic' or 'numeric', got {jet_mode!r}")
-    n, p, domain, names, resolved, position, ajet, ad1 = _BUILDERS[name](
-        params or {}, margin)
-    return Chart(name, n, p, domain, names, jet_mode, resolved, position, ajet, ad1)
+    chart = _BUILDERS[name](params or {}, margin)
+    if jet_mode == "numeric":
+        chart = replace(chart, jet_mode=jet_mode,
+                        _first_partials=partial(_numeric_d1, chart._position),
+                        _jet=partial(_numeric_jet, chart._position))
+    return chart
 
 
 def domain_check(chart: Chart, x) -> DomainVerdict:
@@ -354,23 +371,14 @@ def domain_check(chart: Chart, x) -> DomainVerdict:
         return DomainVerdict(False, -math.inf, "wrong point dimension")
     if not np.isfinite(x).all():
         return DomainVerdict(False, -math.inf, "non-finite coordinate")
-    dist = math.inf
-    worst = ""
+    dist, worst = math.inf, 0
     for j, (lo, hi) in enumerate(chart.domain):
         d = min(x[j] - lo, hi - x[j])
         if d < dist:
-            dist = d
-            worst = chart.axis_names[j]
+            dist, worst = d, j
     if dist <= 0.0:
-        reason = f"outside open domain (axis {worst})"
-        if chart.name == "chen_ideal" and worst == "t":
-            t = x[0]
-            lo, hi = chart.domain[0]
-            reason = "rotational axis (t near 0)" if t <= lo else "domain endpoint (t near 2K/a)"
-        elif chart.name == "chen_ideal" and worst == "u":
-            reason = "coordinate singularity (cos u near 0)"
-        elif chart.name == "hypersphere" and worst != chart.axis_names[-1]:
-            reason = f"polar coordinate singularity (axis {worst})"
+        at_lo, at_hi = chart._boundary[worst]
+        reason = at_lo if x[worst] <= chart.domain[worst][0] else at_hi
         return DomainVerdict(False, dist, reason)
     return DomainVerdict(True, dist, "interior")
 
@@ -383,14 +391,6 @@ def _per_point(fn: Callable) -> Callable:
             return fn(x)
         return np.array([fn(y) for y in x])
     return lifted
-
-
-def _shifted(position: Callable, x: np.ndarray, deltas) -> np.ndarray:
-    """position(x + sum of d e_j over the (j, d) pairs in deltas)."""
-    y = x.copy()
-    for j, d in deltas:
-        y[j] += d
-    return np.asarray(position(y), dtype=float)
 
 
 def _numeric_d1(position: Callable, x: np.ndarray) -> np.ndarray:
@@ -413,43 +413,42 @@ def _numeric_d1(position: Callable, x: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=-2)
 
 
-def _numeric_jet(position: Callable, x: np.ndarray, n: int) -> Jet2:
-    f0 = np.asarray(position(x), dtype=float)
-    N = f0.shape[0]
-
-    def fshift(deltas) -> np.ndarray:
-        return _shifted(position, x, deltas)
-
-    d1 = _numeric_d1(position, x)
-
+def _numeric_jet(position: Callable, x: np.ndarray) -> Jet2:
+    """2-jet at one point x: first partials from `_numeric_d1`, position and
+    second partials from one `position` call over x and its shifted points."""
+    n = x.shape[0]
     # Second partials use a larger step: the cube-root step leaves the
     # rounding term eps/h^2 at ~1e-5, far too coarse for the 1e-5 jet
     # agreement contract.
-    h2 = _EPS ** 0.25 * np.maximum(1.0, np.abs(x))
-    d2 = np.empty((n, n, N))
+    h = _EPS ** 0.25 * np.maximum(1.0, np.abs(x))
+    # (axis, offset) moves of each point after x: x +- h_j/2 e_j and
+    # x +- h_j e_j per axis, then x + s(+-h_j e_j +- h_i e_i) per pair j < i
+    # and s = 1/2, 1.
+    pairs = [(j, i) for j in range(n) for i in range(j + 1, n)]
+    moves = [[(j, d)] for j in range(n) for d in (0.5 * h[j], -0.5 * h[j], h[j], -h[j])]
+    moves += [[(j, a * s * h[j]), (i, b * s * h[i])] for j, i in pairs
+              for s in (0.5, 1.0)
+              for a, b in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
+    y = np.repeat(x[None], 1 + len(moves), axis=0)
+    for row, deltas in enumerate(moves, 1):
+        for j, d in deltas:
+            y[row, j] += d
+    f = np.asarray(position(y), dtype=float)
+
+    # Each entry: Richardson on the half-step and the full-step difference.
+    d2 = np.empty((n, n, f.shape[1]))
     for j in range(n):
-        h = h2[j]
-
-        def pure(step: float) -> np.ndarray:
-            return (fshift([(j, step)]) - 2.0 * f0 + fshift([(j, -step)])) / step ** 2
-
-        d2[j, j] = (4.0 * pure(0.5 * h) - pure(h)) / 3.0
-        for i in range(j + 1, n):
-            hi = h2[i]
-
-            def cross(s: float) -> np.ndarray:
-                return (fshift([(j, s * h), (i, s * hi)])
-                        - fshift([(j, s * h), (i, -s * hi)])
-                        - fshift([(j, -s * h), (i, s * hi)])
-                        + fshift([(j, -s * h), (i, -s * hi)])) / (4.0 * s * s * h * hi)
-
-            val = (4.0 * cross(0.5) - cross(1.0)) / 3.0
-            d2[j, i] = val
-            d2[i, j] = val
-    return Jet2(f0, d1, d2)
+        pure = [(f[r] - 2.0 * f[0] + f[r + 1]) / d ** 2
+                for r, d in ((1 + 4 * j, 0.5 * h[j]), (3 + 4 * j, h[j]))]
+        d2[j, j] = (4.0 * pure[0] - pure[1]) / 3.0
+    for q, (j, i) in enumerate(pairs):
+        cross = [(f[r] - f[r + 1] - f[r + 2] + f[r + 3]) / (4.0 * s * s * h[j] * h[i])
+                 for r, s in ((1 + 4 * n + 8 * q, 0.5), (5 + 4 * n + 8 * q, 1.0))]
+        d2[j, i] = d2[i, j] = (4.0 * cross[0] - cross[1]) / 3.0
+    return Jet2(f[0], _numeric_d1(position, x), d2)
 
 
-def first_partials(chart: Chart, x, *, jet_mode: str | None = None) -> np.ndarray:
+def first_partials(chart: Chart, x) -> np.ndarray:
     """First partials only: the fast path for metric fields. A point x of
     shape (n,) gives shape (n, N); points of shape (G, n) give (G, n, N).
 
@@ -457,30 +456,25 @@ def first_partials(chart: Chart, x, *, jet_mode: str | None = None) -> np.ndarra
     sweep finite-difference stencils are responsible for staying inside the
     domain.
     """
-    x = np.asarray(x, dtype=float)
-    mode = jet_mode or chart.jet_mode
-    if mode == "analytic" and chart._analytic_d1 is not None:
-        return chart._analytic_d1(x)
-    return _numeric_d1(chart._position, x)
+    return chart._first_partials(np.asarray(x, dtype=float))
 
 
-def jet2(chart: Chart, x, *, jet_mode: str | None = None,
-         cond_threshold: float = 1e8) -> Jet2:
-    """Position plus first/second partials at a strictly interior point."""
+def jet2(chart: Chart, x) -> Jet2:
+    """Position plus first/second partials at a strictly interior point.
+
+    Raises IllConditionedPointError when the Gram matrix condition number
+    exceeds COND_LIMIT.
+    """
     x = np.asarray(x, dtype=float)
     verdict = domain_check(chart, x)
     if not verdict.admissible:
         raise DomainError(f"point {x.tolist()} inadmissible for chart "
                           f"{chart.name!r}: {verdict.reason}")
-    mode = jet_mode or chart.jet_mode
-    if mode == "analytic" and chart._analytic_jet is not None:
-        jet = chart._analytic_jet(x)
-    else:
-        jet = _numeric_jet(chart._position, x, chart.n)
+    jet = chart._jet(x)
     gram = jet.d1 @ jet.d1.T
     cond = float(np.linalg.cond(gram))
-    if not np.isfinite(cond) or cond > cond_threshold:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedPointError(
-            f"Gram matrix condition {cond:.3e} exceeds {cond_threshold:.1e} "
+            f"Gram matrix condition {cond:.3e} exceeds {COND_LIMIT:.1e} "
             f"at {x.tolist()} on chart {chart.name!r}")
     return jet

@@ -237,6 +237,20 @@ class TestSweep:
         capsys.readouterr()
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_oversized_axis_counted_before_allocation(self, capsys, command):
+        # 10^13 points on one axis would need 80 TB if the axis were built.
+        rc = main([command, "--chart", "paraboloid",
+                   "--grid", "x=0:0.5:10000000000000,y=0.1"])
+        assert_input_error(capsys, rc, "10000000000000 points", "limit is 1000000")
+
+    def test_synthetic_is_not_a_sweep_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--chart", "chen_ideal", "--param", "a=1",
+                  "--grid", "t=0.5:2.0:4,u=0.3,v=1.1", "--synthetic", "x"])
+        capsys.readouterr()
+        assert exc.value.code == 2
+
 
 class TestVerify:
     def test_chart_grid_passes(self, tmp_path, capsys):
@@ -289,6 +303,12 @@ class TestVerify:
         rc = main(["verify", "--synthetic", "/nonexistent/corpus.json"])
         capsys.readouterr()
         assert rc == 2
+
+    @pytest.mark.parametrize("corpus", [5, None, True])
+    def test_corpus_neither_list_nor_object_exit_2(self, tmp_path, capsys, corpus):
+        path = write_synthetic(tmp_path, corpus, "corpus.json")
+        assert_input_error(capsys, main(["verify", "--synthetic", path]),
+                           "synthetic corpus")
 
 
 class TestQP:

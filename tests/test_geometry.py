@@ -30,9 +30,9 @@ EPS = np.finfo(float).eps
 # `first_partials` call per metric point. Kept as the reference that
 # `intrinsic_riemann` must reproduce bit for bit.
 
-def reference_metric_fn(chart, jet_mode):
+def reference_metric_fn(chart):
     def g(y):
-        d1 = first_partials(chart, y, jet_mode=jet_mode)
+        d1 = first_partials(chart, y)
         return d1 @ d1.T
     return g
 
@@ -59,8 +59,8 @@ def reference_riemann(chart, x, jet_mode):
     analytic = jet_mode == "analytic"
     gamma_step = float(np.cbrt(EPS)) if analytic else 1e-2
     step = 2e-3 if analytic else 5e-2
-    frame = frame_at(chart, x, jet_mode=jet_mode)
-    gfun = reference_metric_fn(chart, jet_mode)
+    frame = frame_at(chart, x)
+    gfun = reference_metric_fn(chart)
     hs = step * np.maximum(1.0, np.abs(x))
     gamma0 = reference_christoffel(gfun, x, n, gamma_step)
     dgamma = np.empty((n, n, n, n))

@@ -129,18 +129,17 @@ class TestJets:
         ("paraboloid", {"c": 0.8}, [0.3, -0.4]),
     ])
     def test_numeric_matches_analytic(self, name, params, x):
-        c = make_chart(name, params)
         x = np.asarray(x, dtype=float)
-        ja = jet2(c, x, jet_mode="analytic")
-        jn = jet2(c, x, jet_mode="numeric")
+        ja = jet2(make_chart(name, params), x)
+        jn = jet2(make_chart(name, params, jet_mode="numeric"), x)
         scale = 1.0 + np.abs(ja.d2).max()
         assert np.abs(ja.d1 - jn.d1).max() <= 1e-8
         assert np.abs(ja.d2 - jn.d2).max() <= 1e-5 * scale
 
     def test_d2_symmetry(self):
-        c = make_chart("chen_ideal", {"a": 0.5})
         for mode in ("analytic", "numeric"):
-            j = jet2(c, [1.2, -0.2, 2.0], jet_mode=mode)
+            c = make_chart("chen_ideal", {"a": 0.5}, jet_mode=mode)
+            j = jet2(c, [1.2, -0.2, 2.0])
             assert np.abs(j.d2 - j.d2.transpose(1, 0, 2)).max() <= 1e-9
 
     def test_first_partials_fast_path(self):
@@ -160,8 +159,95 @@ class TestJets:
         assert np.array_equal(first_partials(c, x), jet2(c, x).d1)
 
     def test_chen_generic_parameter(self):
-        c = make_chart("chen_ideal", {"a": 2.0})
         x = np.array([0.4, 0.1, 0.9])
-        ja = jet2(c, x, jet_mode="analytic")
-        jn = jet2(c, x, jet_mode="numeric")
+        ja = jet2(make_chart("chen_ideal", {"a": 2.0}), x)
+        jn = jet2(make_chart("chen_ideal", {"a": 2.0}, jet_mode="numeric"), x)
         assert np.abs(ja.d2 - jn.d2).max() <= 1e-5
+
+
+# The scalar numeric 2-jet that the batched one replaced: one `position` call
+# per shifted point. Kept as the reference the numeric jet must reproduce bit
+# for bit, sign bits included.
+
+def reference_shifted(position, x, deltas):
+    y = x.copy()
+    for j, d in deltas:
+        y[j] += d
+    return np.asarray(position(y), dtype=float)
+
+
+def reference_numeric_jet(position, x):
+    n = x.shape[0]
+    f0 = np.asarray(position(x), dtype=float)
+    h2 = np.finfo(float).eps ** 0.25 * np.maximum(1.0, np.abs(x))
+    d2 = np.empty((n, n, f0.shape[0]))
+    for j in range(n):
+        h = h2[j]
+
+        def pure(step):
+            return (reference_shifted(position, x, [(j, step)]) - 2.0 * f0
+                    + reference_shifted(position, x, [(j, -step)])) / step ** 2
+
+        d2[j, j] = (4.0 * pure(0.5 * h) - pure(h)) / 3.0
+        for i in range(j + 1, n):
+            hi = h2[i]
+
+            def cross(s):
+                def f(a, b):
+                    return reference_shifted(position, x, [(j, a * s * h), (i, b * s * hi)])
+                return (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4.0 * s * s * h * hi)
+
+            d2[j, i] = d2[i, j] = (4.0 * cross(0.5) - cross(1.0)) / 3.0
+    return f0, d2
+
+
+ALL_CHARTS = [
+    ("hypersphere", {"R": 1.3, "n": 2}),
+    ("hypersphere", {"R": 0.7, "n": 3}),
+    ("hypersphere", {"R": 1.6, "n": 4}),
+    ("chen_ideal", {"a": 1.0}),
+    ("chen_ideal", {"a": 2.0}),
+    ("flat_torus", {"r1": 1.0, "r2": 0.6}),
+    ("paraboloid", {"c": 0.8}),
+]
+
+
+def interior_points(chart, count, seed):
+    lo = np.array([b[0] for b in chart.domain])
+    hi = np.array([b[1] for b in chart.domain])
+    return lo + (hi - lo) * np.random.default_rng(seed).uniform(0.1, 0.9, (count, chart.n))
+
+
+class TestChartInterface:
+    @pytest.mark.parametrize("name,params", ALL_CHARTS)
+    def test_numeric_jet_equals_scalar_reference(self, name, params):
+        c = make_chart(name, params, jet_mode="numeric")
+        X = interior_points(c, 12, 5)
+        X[0, -1] = -0.0 if name == "paraboloid" else X[0, -1]
+        for x in X:
+            jet = jet2(c, x)
+            f0, d2 = reference_numeric_jet(c._position, x)
+            for got, want in ((jet.position, f0), (jet.d2, d2)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("name,params", ALL_CHARTS)
+    @pytest.mark.parametrize("mode", ["analytic", "numeric"])
+    def test_jet_position_is_chart_position(self, name, params, mode):
+        c = make_chart(name, params, jet_mode=mode)
+        for x in interior_points(c, 12, 6):
+            assert np.array_equal(jet2(c, x).position, c._position(x))
+
+    def test_sphere_jet_position_at_many_points(self):
+        c = make_chart("hypersphere", {"R": 1.7, "n": 4})
+        for x in interior_points(c, 2000, 7):
+            assert np.array_equal(jet2(c, x).position, c._position(x))
+
+    def test_mode_fixed_at_construction(self):
+        a = make_chart("paraboloid", {"c": 0.8})
+        n = make_chart("paraboloid", {"c": 0.8}, jet_mode="numeric")
+        x = np.array([0.3, -0.4])
+        assert (a.jet_mode, n.jet_mode) == ("analytic", "numeric")
+        assert not np.array_equal(first_partials(a, x), first_partials(n, x))
+        with pytest.raises(TypeError):
+            jet2(a, x, jet_mode="numeric")
