@@ -43,6 +43,7 @@ from .invariants import (
     einstein_residual,
     extremize_hyperplane,
     inequality_report,
+    inequality_reports,
     oprea_qp,
     proof_polynomial,
     ricci_values,

@@ -34,7 +34,7 @@ from .immersions import (
     domain_check,
     make_chart,
 )
-from .invariants import inequality_report, oprea_qp
+from .invariants import inequality_report, inequality_reports, oprea_qp
 
 __all__ = ["main"]
 
@@ -291,12 +291,16 @@ def _cmd_verify(args) -> int:
         if not isinstance(corpus, list):
             raise ValueError("synthetic corpus must be a JSON list of "
                              "{n, p, c_tilde, h} objects or one such object")
+        # Validate every entry before any report, then report them together.
+        items = []
         for i, entry in enumerate(corpus):
             sf, c_tilde = _synthetic_from_dict(entry)
             if sf.n < 3:
                 raise ValueError(f"synthetic entry {i}: n >= 3 required")
-            rep = inequality_report(sf, c_tilde, classify_tol=_classify_tol_for(None))
-            checked += 1
+            items.append((sf, c_tilde))
+        checked = len(items)
+        reports = inequality_reports(items, classify_tol=_classify_tol_for(None))
+        for i, rep in enumerate(reports):
             s = min(rep.slack11, rep.slack41)
             if s < worst_slack[1]:
                 worst_slack = (f"entry {i}", s)

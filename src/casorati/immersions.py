@@ -29,6 +29,7 @@ __all__ = [
     "IllConditionedPointError",
     "CATALOG_NAMES",
     "COND_LIMIT",
+    "MAX_SPHERE_N",
     "make_chart",
     "jet2",
     "domain_check",
@@ -39,6 +40,9 @@ _EPS = np.finfo(float).eps
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # Largest Gram-matrix condition number `jet2` accepts.
 COND_LIMIT = 1e8
+# Largest hypersphere dimension n. The chart's factor table has n(n + 1)
+# entries, so the limit is checked before it is built.
+MAX_SPHERE_N = 64
 
 CATALOG_NAMES = ("hypersphere", "chen_ideal", "flat_torus", "paraboloid")
 
@@ -127,9 +131,15 @@ def _sphere_factor(tag: str, order: int, s, c):
 
 def _make_hypersphere(params: dict, margin: float) -> Chart:
     R = _get_param(params, "R", 1.0)
-    n = int(params.get("n", 2))
+    n = float(params.get("n", 2))
+    if not n.is_integer():
+        raise ValueError(f"hypersphere dimension n must be an integer, got {n}")
+    n = int(n)
     if n < 2:
         raise ValueError("hypersphere needs intrinsic dimension n >= 2")
+    if n > MAX_SPHERE_N:
+        raise ValueError(f"hypersphere dimension n = {n} exceeds the limit "
+                         f"MAX_SPHERE_N = {MAX_SPHERE_N}")
     N = n + 1
     # Coordinate m of the immersion is R * prod_j factor[m][j](phi_j).
     factors = ([["sin"] * m + ["cos"] + ["one"] * (n - 1 - m) for m in range(n)]
@@ -350,13 +360,20 @@ _BUILDERS = {
 
 def make_chart(name: str, params: dict | None = None, *,
                jet_mode: str = "analytic", margin: float = 1e-3) -> Chart:
-    """Build a catalog chart in the given jet mode. Raises ValueError for
-    unknown names, modes or bad params."""
+    """Build a catalog chart in the given jet mode. `margin` (>= 0) is how far
+    the domain stays from the coordinate singularities; raises ValueError for
+    unknown names, modes, bad params or a margin that leaves an axis empty."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown chart {name!r}; catalog: {CATALOG_NAMES}")
     if jet_mode not in ("analytic", "numeric"):
         raise ValueError(f"jet_mode must be 'analytic' or 'numeric', got {jet_mode!r}")
+    if not margin >= 0.0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
     chart = _BUILDERS[name](params or {}, margin)
+    for axis, (lo, hi) in zip(chart.axis_names, chart.domain):
+        if not lo < hi:
+            raise ValueError(f"margin {margin} leaves axis {axis!r} of "
+                             f"{name} empty: [{lo:.6g}, {hi:.6g}]")
     if jet_mode == "numeric":
         chart = replace(chart, jet_mode=jet_mode,
                         _first_partials=partial(_numeric_d1, chart._position),

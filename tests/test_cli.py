@@ -7,12 +7,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from casorati.cli import MAX_QP_N, MAX_SYNTHETIC_N, main
+from casorati.geometry import SecondForm
+from casorati.immersions import MAX_SPHERE_N
+from casorati.invariants import inequality_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -110,6 +114,43 @@ class TestNonFiniteInput:
     def test_malformed_entry(self, tmp_path, capsys, entry):
         path = write_synthetic(tmp_path, [entry])
         assert_input_error(capsys, main(["verify", "--synthetic", path]))
+
+
+class TestChartInput:
+    SPHERE_POINT = "phi1=0.9,phi2=1.2,phi3=2.0"
+
+    def test_non_integer_sphere_dimension(self, tmp_path, capsys):
+        rc = main(["report", "--chart", "hypersphere", "--param", "n=2.7",
+                   "--point", self.SPHERE_POINT])
+        assert_input_error(capsys, rc, "integer", "2.7")
+        rc, text = run(["report", "--chart", "hypersphere", "--param", "n=3.0",
+                        "--point", self.SPHERE_POINT], tmp_path)
+        assert rc == 0
+        assert json.loads(text)["n"] == 3
+
+    def test_sphere_dimension_over_limit(self, capsys):
+        # Rejected before the chart's n(n + 1)-entry factor table is built.
+        tracemalloc.start()
+        try:
+            rc = main(["report", "--chart", "hypersphere", "--param", "n=1e9",
+                       "--point", self.SPHERE_POINT])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_input_error(capsys, rc, "MAX_SPHERE_N", str(MAX_SPHERE_N))
+        assert peak < 10 ** 6
+
+    def test_negative_margin(self, capsys):
+        # t = -0.2 lies outside chen_ideal's t > 0 domain at any margin >= 0.
+        rc = main(["report", "--chart", "chen_ideal", "--margin", "-0.5",
+                   "--point", "t=-0.2,u=0.3,v=1"])
+        assert_input_error(capsys, rc, "margin", "-0.5")
+
+    def test_margin_empties_an_axis(self, capsys):
+        rc = main(["verify", "--chart", "chen_ideal", "--margin", "5",
+                   "--grid", "t=0.5:3:4,u=0.3,v=1"])
+        assert_input_error(capsys, rc, "margin", "empty")
+        assert capsys.readouterr().out == ""
 
 
 class TestCatalog:
@@ -289,6 +330,36 @@ class TestVerify:
         rc = main(["verify", "--synthetic", path])
         capsys.readouterr()
         assert rc == 0
+
+    def test_synthetic_reports_in_input_order(self, tmp_path, capsys):
+        # A corpus mixing (n, p) groups: the worst slack must name the entry
+        # whose own report has it.
+        rng = np.random.default_rng(21)
+        corpus, slacks = [], []
+        for k in range(12):
+            n, p = 3 + k % 3, 1 + k % 4 // 2 + k % 2
+            h = rng.uniform(-1, 1, (p, n, n))
+            h = 0.5 * (h + h.transpose(0, 2, 1))
+            corpus.append({"n": n, "p": p, "c_tilde": float(k % 3 - 1),
+                           "h": h.tolist()})
+            rep = inequality_report(SecondForm(n, p, h), float(k % 3 - 1))
+            slacks.append(min(rep.slack11, rep.slack41))
+        path = write_synthetic(tmp_path, corpus, "corpus.json")
+        rc = main(["verify", "--synthetic", path])
+        lines = capsys.readouterr().out.splitlines()
+        worst = int(np.argmin(slacks))
+        assert rc == 0
+        assert lines == ["verify: 12 inputs checked, 0 violations",
+                         f"  worst slack: {slacks[worst]:.6e} at entry {worst}"]
+
+    def test_bad_entry_mid_corpus_exit_2(self, tmp_path, capsys):
+        corpus = [identity_form() for _ in range(5)]
+        corpus[2] = {"n": 2, "p": 1, "h": np.eye(2)[None].tolist()}
+        path = write_synthetic(tmp_path, corpus, "corpus.json")
+        rc = main(["verify", "--synthetic", path])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: synthetic entry 2: n >= 3")
 
     def test_corrupted_input_exit_2(self, tmp_path, capsys):
         path = write_synthetic(tmp_path, [{

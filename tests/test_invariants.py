@@ -17,6 +17,7 @@ from casorati.invariants import (
     extremize_hyperplane,
     hyperplane_extrema_batch,
     inequality_report,
+    inequality_reports,
     oprea_qp,
     proof_polynomial,
     qp_hessian,
@@ -27,7 +28,7 @@ from casorati.invariants import (
     tau_subspace,
     weyl_norm,
 )
-from casorati.invariants import _cached_grid
+from casorati.invariants import _cached_grid, _grid_newton
 
 
 def diag_form(*vals, p=1):
@@ -285,6 +286,18 @@ class TestGridNewton:
             assert np.array_equal(
                 hyperplane_extrema_batch(np.zeros((3, 2, 4, 4)), mode),
                 np.zeros(3))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("grid", ["512", "default"])
+    def test_both_modes_match_single_mode(self, n, p, grid):
+        h = random_forms(n, p, 4, seed=100 * n + p)
+        size = 512 if grid == "512" else min(32768, 4096 * 2 ** (n - 3))
+        both = _grid_newton(h, size, ("inf", "sup"))
+        for m, mode in enumerate(("inf", "sup")):
+            alone = _grid_newton(h, size, (mode,))
+            for got, want in zip(both, alone):   # values, u, grid values
+                assert np.array_equal(got[m], want[0]), mode
 
     def test_grid_cache_is_read_only(self):
         U = _cached_grid(4, 512)
@@ -555,3 +568,46 @@ class TestInequalityReport:
             rep = inequality_report(SecondForm(n, p, h), ct)
             assert rep.slack11 >= -1e-9
             assert rep.slack41 >= -1e-9
+
+    def test_reports_match_single_form(self):
+        # A shuffled corpus mixing every (n, p) group and c_tilde value.
+        rng = np.random.default_rng(17)
+        items = []
+        for n in range(3, 7):
+            for p in (1, 2, 3):
+                for c_tilde in (-1.0, 0.0, 1.0):
+                    h = rng.uniform(-1.0, 1.0, (p, n, n))
+                    items.append((SecondForm(n, p, 0.5 * (h + h.transpose(0, 2, 1))),
+                                  c_tilde))
+        items = [items[i] for i in rng.permutation(len(items))]
+        reports = inequality_reports(items, classify_tol=1e-8)
+        assert len(reports) == len(items)
+        for (sf, c_tilde), rep in zip(items, reports):
+            alone = inequality_report(sf, c_tilde)
+            for name in rep.__dataclass_fields__:
+                got, want = getattr(rep, name), getattr(alone, name)
+                if name in ("infCL", "supCL"):
+                    assert (got.mode, got.value, got.certificate) == (
+                        want.mode, want.value, want.certificate)
+                    assert np.array_equal(got.u, want.u)
+                else:
+                    assert got == want, name
+
+    def test_reports_certificates(self):
+        h = np.zeros((2, 4, 4))
+        h[0] = np.diag([1.0, 2.0, 3.0, 4.0])
+        h[1, 0, 1] = h[1, 1, 0] = 0.5
+        (hyper, multi) = inequality_reports([(diag_form(1.0, 2.0, 3.0), 0.0),
+                                             (SecondForm(4, 2, h), 0.0)])
+        assert hyper.infCL.certificate == hyper.supCL.certificate == {
+            "method": "closed_form"}
+        for ext, mode in ((multi.infCL, "inf"), (multi.supCL, "sup")):
+            assert ext.certificate == extremize_hyperplane(
+                SecondForm(4, 2, h), mode).certificate
+            assert ext.certificate["grid_nodes"] == 8192
+
+    def test_reports_edge_cases(self):
+        assert inequality_reports([]) == []
+        with pytest.raises(ValueError, match="n >= 3"):
+            inequality_reports([(diag_form(1.0, 2.0, 3.0), 0.0),
+                                (diag_form(1.0, 2.0), 0.0)])
