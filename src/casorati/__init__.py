@@ -1,55 +1,50 @@
-"""Numerical toolkit for Casorati-curvature invariants of immersed submanifolds."""
+"""Numerical toolkit for Casorati-curvature invariants of immersed submanifolds.
 
-from .elliptic import (
-    EllipticTriple,
-    QuadratureError,
-    QuadratureResult,
-    complete_K,
-    integrate,
-    jacobi_elliptic,
-    jacobi_sd,
-    sd_squared_integral,
-)
-from .geometry import (
-    FramedPoint,
-    RiemannTensor,
-    SecondForm,
-    frame_at,
-    gauss_residual,
-    intrinsic_riemann,
-    intrinsic_tau,
-    second_form,
-)
-from .immersions import (
-    CATALOG_NAMES,
-    BoundaryProximityError,
-    Chart,
-    DomainError,
-    IllConditionedPointError,
-    Jet2,
-    domain_check,
-    jet2,
-    make_chart,
-)
-from .invariants import (
-    HyperplaneExtremum,
-    IdealClassification,
-    InvariantReport,
-    QPSolution,
-    casorati_hyperplane,
-    casorati_total,
-    classify_ideal,
-    delta_curvatures,
-    einstein_residual,
-    extremize_hyperplane,
-    inequality_report,
-    inequality_reports,
-    oprea_qp,
-    proof_polynomial,
-    ricci_values,
-    tau_from_h,
-    tau_subspace,
-    weyl_norm,
-)
+The names below are loaded lazily (PEP 562): each top-level name, and each
+submodule reached as an attribute, imports its submodule on first use. So
+`import casorati` alone loads no numpy, which lets the command line
+(`casorati.cli`) choose numpy's BLAS thread count before numpy starts.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_SUBMODULE_EXPORTS = {
+    "elliptic": (
+        "EllipticTriple", "QuadratureError", "QuadratureResult", "complete_K",
+        "integrate", "jacobi_elliptic", "jacobi_sd", "sd_squared_integral"),
+    "geometry": (
+        "FramedPoint", "RiemannTensor", "SecondForm", "frame_at",
+        "gauss_residual", "intrinsic_riemann", "intrinsic_tau", "second_form"),
+    "immersions": (
+        "CATALOG_NAMES", "BoundaryProximityError", "Chart", "DomainError",
+        "IllConditionedPointError", "Jet2", "domain_check", "jet2",
+        "make_chart"),
+    "invariants": (
+        "HyperplaneExtremum", "IdealClassification", "InvariantReport",
+        "QPSolution", "casorati_hyperplane", "casorati_total", "classify_ideal",
+        "delta_curvatures", "einstein_residual", "extremize_hyperplane",
+        "inequality_report", "inequality_reports", "oprea_qp",
+        "proof_polynomial", "ricci_values", "tau_from_h", "tau_subspace",
+        "weyl_norm"),
+}
+# Exported name -> the submodule that defines it.
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items()
+            for name in names}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULE_EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_SUBMODULE_EXPORTS, *_EXPORTS})

@@ -12,12 +12,22 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from collections import Counter
 from functools import partial
 from pathlib import Path
 
-import numpy as np
+# numpy's OpenBLAS starts a pool of one thread per core when numpy loads. The
+# matrices here are too small for it (n <= 64, and at most a (p + 1, 21) @
+# (21, 16384) grid-scan product): on 2 cores the second thread cost 60-90 ms of
+# CPU per process and saved no wall time. So the command line asks for one
+# thread unless the caller set a count. Once numpy is loaded the pool exists,
+# and the variable would only pass on to child processes: leave it alone then.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (after the thread count is set)
 
 from .geometry import (
     SecondForm,
@@ -110,19 +120,29 @@ def _load_synthetic(path: str) -> tuple:
     return _synthetic_from_dict(data)
 
 
+def _synthetic_dimension(value, what: str) -> int:
+    # int() would truncate 3.7 to 3 and read true as 1 or "3" as 3; an
+    # integral float such as 3.0 is a valid JSON spelling of 3.
+    integral = (isinstance(value, int)
+                or isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"synthetic {what} must be an integer, got "
+                         f"{json.dumps(value)}")
+    return int(value)
+
+
 def _synthetic_from_dict(data: dict) -> tuple:
     if not isinstance(data, dict):
         raise ValueError("synthetic input must be a JSON object {n, p, c_tilde, h}")
     for key in ("n", "p", "h"):
         if key not in data:
             raise ValueError(f"synthetic input missing key {key!r}")
+    n = _synthetic_dimension(data["n"], "n")
+    p = _synthetic_dimension(data["p"], "p")
     try:
-        n = int(data["n"])
-        p = int(data["p"])
         c_tilde = float(data.get("c_tilde", 0.0))
-    except (TypeError, OverflowError) as exc:  # null, list, infinite n or p
-        raise ValueError(f"synthetic n, p and c_tilde must be finite "
-                         f"numbers: {exc}") from exc
+    except (TypeError, OverflowError) as exc:  # null, list, huge integer
+        raise ValueError(f"synthetic c_tilde must be a finite number: {exc}") from exc
     if n > MAX_SYNTHETIC_N:
         raise ValueError(f"synthetic n = {n} exceeds the limit "
                          f"MAX_SYNTHETIC_N = {MAX_SYNTHETIC_N}")

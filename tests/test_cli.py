@@ -43,6 +43,85 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def run_child(args, **env_extra):
+    """Run `python ARGS` in a fresh interpreter on this source tree, with no
+    OPENBLAS_NUM_THREADS but what `env_extra` sets."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=str(SRC), **env_extra)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy without show_config(mode=...)
+        return ""
+
+
+needs_openblas_on_linux = pytest.mark.skipif(
+    not (Path("/proc/self/task").is_dir() and "openblas" in _blas_name()),
+    reason="counts OS threads in /proc of a numpy linked to OpenBLAS")
+COUNT_THREADS = "import os; print(len(os.listdir('/proc/self/task')))"
+
+
+class TestBlasThreads:
+    @needs_openblas_on_linux
+    def test_cli_runs_one_thread(self):
+        done = run_child(["-c", "import casorati.cli; " + COUNT_THREADS])
+        assert (done.returncode, done.stdout) == (0, "1\n"), done.stderr
+
+    @needs_openblas_on_linux
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="OpenBLAS starts no more threads than cores")
+    def test_caller_thread_count_wins(self):
+        done = run_child(["-c", "import casorati.cli; " + COUNT_THREADS],
+                         OPENBLAS_NUM_THREADS="2")
+        assert (done.returncode, done.stdout) == (0, "2\n"), done.stderr
+
+    def test_package_import_loads_no_numpy(self):
+        done = run_child(["-c", "import casorati, sys; "
+                          "assert 'numpy' not in sys.modules"])
+        assert done.returncode == 0, done.stderr
+
+    def test_environment_untouched_once_numpy_is_loaded(self):
+        done = run_child(["-c", "import os, numpy; before = dict(os.environ); "
+                          "import casorati.cli; assert dict(os.environ) == before"])
+        assert done.returncode == 0, done.stderr
+
+
+def _mixed_corpus(tmp_path) -> dict:
+    """Files CORPUS (n = 3..6, p = 1..3) and FORM (its n = 6, p = 3 entry).
+    n = 5 and 6 scan 16384 and 32768 grid nodes per p >= 2 form, so the grid
+    scan's matmul runs at its full chunk."""
+    rng = np.random.default_rng(13)
+    corpus = []
+    for n in range(3, 7):
+        for p in range(1, 4):
+            h = rng.uniform(-1, 1, (p, n, n))
+            corpus.append({"n": n, "p": p, "c_tilde": float(rng.uniform(-1, 1)),
+                           "h": (0.5 * (h + h.transpose(0, 2, 1))).tolist()})
+    return {"CORPUS": write_synthetic(tmp_path, corpus, "corpus.json"),
+            "FORM": write_synthetic(tmp_path, corpus[-1], "form.json")}
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--synthetic", "CORPUS"],
+    ["report", "--synthetic", "FORM"],
+    ["sweep", "--chart", "chen_ideal", "--param", "a=1",
+     "--grid", "t=0.05:3.6:12,u=-0.4:0.4:2,v=1.1"],
+    ["verify", "--chart", "hypersphere", "--param", "R=2,n=3",
+     "--grid", "phi1=0.02:2.5:3,phi2=0.6:2.4:3,phi3=1.0:5.0:2"],
+], ids=["verify-synthetic", "report-synthetic", "sweep-chen-ideal",
+        "verify-hypersphere"])
+def test_output_independent_of_blas_threads(tmp_path, command):
+    files = _mixed_corpus(tmp_path)
+    args = ["-m", "casorati.cli", *(files.get(a, a) for a in command)]
+    one, two = (run_child(args, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+    assert (one.returncode, one.stdout) == (two.returncode, two.stdout)
+    assert one.stdout, one.stderr
+
+
 def identity_form(**extra):
     return {"n": 3, "p": 1, "h": np.eye(3)[None].tolist(), **extra}
 
@@ -114,6 +193,23 @@ class TestNonFiniteInput:
     def test_malformed_entry(self, tmp_path, capsys, entry):
         path = write_synthetic(tmp_path, [entry])
         assert_input_error(capsys, main(["verify", "--synthetic", path]))
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("key,bad,shown", [
+        ("n", 3.7, "3.7"), ("p", 1.2, "1.2"), ("p", True, "true"),
+        ("n", "3", '"3"')])
+    def test_non_integer_dimension(self, tmp_path, capsys, command, key, bad,
+                                   shown):
+        # int() would read each of these as the identity form's own n or p.
+        path = write_synthetic(tmp_path, identity_form(**{key: bad}))
+        assert_input_error(capsys, main([command, "--synthetic", path]),
+                           f"synthetic {key} must be an integer", shown)
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_integral_float_dimension(self, tmp_path, capsys, command):
+        path = write_synthetic(tmp_path, identity_form(n=3.0, p=1.0))
+        assert main([command, "--synthetic", path]) == 0
+        capsys.readouterr()
 
 
 class TestChartInput:
