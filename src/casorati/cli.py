@@ -39,12 +39,16 @@ from .geometry import (
 from .immersions import (
     CATALOG_NAMES,
     BoundaryProximityError,
-    DomainError,
     IllConditionedPointError,
     domain_check,
     make_chart,
 )
-from .invariants import inequality_report, inequality_reports, oprea_qp
+from .invariants import (
+    InvariantReport,
+    inequality_report,
+    inequality_reports,
+    oprea_qp,
+)
 
 __all__ = ["main"]
 
@@ -120,15 +124,19 @@ def _load_synthetic(path: str) -> tuple:
     return _synthetic_from_dict(data)
 
 
-def _synthetic_dimension(value, what: str) -> int:
-    # int() would truncate 3.7 to 3 and read true as 1 or "3" as 3; an
-    # integral float such as 3.0 is a valid JSON spelling of 3.
-    integral = (isinstance(value, int)
-                or isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"synthetic {what} must be an integer, got "
-                         f"{json.dumps(value)}")
-    return int(value)
+def _synthetic_number(value, what: str, integer: bool = False):
+    """A number of synthetic JSON input: an int if `integer`, else a finite
+    float. int() and float() would read true as 1 and "3" as 3, and int()
+    would truncate 3.7 to 3; an integral float such as 3.0 spells 3."""
+    valid = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if integer:
+        valid = valid and (isinstance(value, int) or value.is_integer())
+    else:  # also rejects NaN, infinities and integers beyond the float range
+        valid = valid and abs(value) <= sys.float_info.max
+    if not valid:
+        kind = "an integer" if integer else "a finite number"
+        raise ValueError(f"synthetic {what} must be {kind}, got {json.dumps(value)}")
+    return int(value) if integer else float(value)
 
 
 def _synthetic_from_dict(data: dict) -> tuple:
@@ -137,24 +145,20 @@ def _synthetic_from_dict(data: dict) -> tuple:
     for key in ("n", "p", "h"):
         if key not in data:
             raise ValueError(f"synthetic input missing key {key!r}")
-    n = _synthetic_dimension(data["n"], "n")
-    p = _synthetic_dimension(data["p"], "p")
-    try:
-        c_tilde = float(data.get("c_tilde", 0.0))
-    except (TypeError, OverflowError) as exc:  # null, list, huge integer
-        raise ValueError(f"synthetic c_tilde must be a finite number: {exc}") from exc
+    n = _synthetic_number(data["n"], "n", integer=True)
+    p = _synthetic_number(data["p"], "p", integer=True)
+    c_tilde = _synthetic_number(data.get("c_tilde", 0.0), "c_tilde")
     if n > MAX_SYNTHETIC_N:
         raise ValueError(f"synthetic n = {n} exceeds the limit "
                          f"MAX_SYNTHETIC_N = {MAX_SYNTHETIC_N}")
     h = np.asarray(data["h"], dtype=float)
-    sf = SecondForm(n, p, h)  # validates shape, finiteness and symmetry
-    return sf, _finite(c_tilde, "c_tilde")
+    return SecondForm(n, p, h), c_tilde  # validates shape, finiteness, symmetry
 
 
-def _report_dict(sf: SecondForm, c_tilde: float, classify_tol: float,
-                 frame_condition: float | None, echo_h: bool = True) -> dict:
-    rep = inequality_report(sf, c_tilde, classify_tol=classify_tol)
-    out = {
+def _report_dict(rep: InvariantReport, frame_condition: float | None) -> dict:
+    """The REPORT_COLUMNS of `rep`; the frame condition is None for a
+    synthetic form."""
+    return {
         "n": rep.n,
         "p": rep.p,
         "c_tilde": rep.c_tilde,
@@ -172,15 +176,33 @@ def _report_dict(sf: SecondForm, c_tilde: float, classify_tol: float,
         "classification": rep.classification.kind,
         "frame_condition": frame_condition,
     }
-    if echo_h:
-        out["h"] = sf.h.tolist()
-    return out
 
 
-def _chart_secondform(chart, point):
-    frame = frame_at(chart, point)
-    sf = second_form(chart, point, frame)
-    return sf, frame.condition
+def _point_form(chart, pt, riemann: bool = False) -> tuple:
+    """`(status, SecondForm, frame condition, RiemannTensor or None)` at a
+    grid point. The status is "ok", or the reason the point has no form:
+    "inadmissible", "ill-conditioned", or with `riemann` "boundary stencil"
+    (the intrinsic curvature stencil leaves the domain)."""
+    if not domain_check(chart, pt).admissible:
+        return "inadmissible", None, None, None
+    try:
+        frame = frame_at(chart, pt)
+        sf = second_form(chart, pt, frame)
+        riem = intrinsic_riemann(chart, pt) if riemann else None
+    except IllConditionedPointError:
+        return "ill-conditioned", None, None, None
+    except BoundaryProximityError:
+        return "boundary stencil", None, None, None
+    return "ok", sf, frame.condition, riem
+
+
+def _batch_reports(items: list, jet_mode: str | None) -> list:
+    """Reports of `(SecondForm, c_tilde)` items, in order, from one batched
+    `inequality_reports` call; an item None gets the report None. Each
+    report equals that of its form reported alone, bit for bit."""
+    reports = iter(inequality_reports([it for it in items if it is not None],
+                                      classify_tol=_classify_tol_for(jet_mode)))
+    return [None if it is None else next(reports) for it in items]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -243,35 +265,30 @@ def _cmd_report(args) -> int:
             point = np.array([point_kv[a] for a in chart.axis_names])
         except KeyError as exc:
             raise ValueError(f"point missing axis {exc}") from exc
-        sf, cond = _chart_secondform(chart, point)
+        # Unlike a grid point, an inadmissible or ill-conditioned point is
+        # an error here: jet2 raises it with its reason.
+        frame = frame_at(chart, point)
+        sf, cond = second_form(chart, point, frame), frame.condition
         c_tilde, jet_mode = 0.0, chart.jet_mode
-    out = _report_dict(sf, c_tilde, _classify_tol_for(jet_mode), cond)
+    rep = inequality_report(sf, c_tilde, classify_tol=_classify_tol_for(jet_mode))
+    out = {**_report_dict(rep, cond), "h": sf.h.tolist()}
     _emit(json.dumps(out, indent=2, sort_keys=True), args.out)
     return 0
 
 
 def _sweep_rows(args):
     chart = _make_cli_chart(args)
-    points = _parse_grid(args.grid, chart.axis_names)
-    rows = []
-    for pt in points:
+    rows, items, conds = [], [], []
+    for pt in _parse_grid(args.grid, chart.axis_names):
+        status, sf, cond, _ = _point_form(chart, pt)
         row = {a: float(v) for a, v in zip(chart.axis_names, pt)}
-        verdict = domain_check(chart, pt)
-        if not verdict.admissible:
-            row["status"] = "inadmissible"
-            rows.append(row)
-            continue
-        try:
-            sf, cond = _chart_secondform(chart, pt)
-        except (IllConditionedPointError, DomainError):
-            row["status"] = "ill-conditioned"
-            rows.append(row)
-            continue
-        rep = _report_dict(sf, 0.0, _classify_tol_for(chart.jet_mode), cond,
-                           echo_h=False)
-        row["status"] = "ok"
-        row.update(rep)
+        row["status"] = status
         rows.append(row)
+        items.append(None if sf is None else (sf, 0.0))
+        conds.append(cond)
+    for row, rep, cond in zip(rows, _batch_reports(items, chart.jet_mode), conds):
+        if rep is not None:
+            row.update(_report_dict(rep, cond))
     return chart, rows
 
 
@@ -297,13 +314,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol_alg = args.tol_algebraic
-    violations = []
-    checked = 0
-    worst_slack = ("", math.inf)
-    worst_gauss = ("", 0.0)
     skipped = Counter()  # reason -> points of the chart grid not checked
-
     if args.synthetic:
         corpus = json.loads(Path(args.synthetic).read_text(encoding="utf-8"))
         if isinstance(corpus, dict):
@@ -318,52 +329,45 @@ def _cmd_verify(args) -> int:
             if sf.n < 3:
                 raise ValueError(f"synthetic entry {i}: n >= 3 required")
             items.append((sf, c_tilde))
-        checked = len(items)
-        reports = inequality_reports(items, classify_tol=_classify_tol_for(None))
-        for i, rep in enumerate(reports):
-            s = min(rep.slack11, rep.slack41)
-            if s < worst_slack[1]:
-                worst_slack = (f"entry {i}", s)
-            if s < -tol_alg:
-                violations.append(f"entry {i}: slack {s:.3e}")
+        labels = [f"entry {i}" for i in range(len(items))]
+        resids = [None] * len(items)
+        jet_mode = tol_geom = None
     else:
         if not args.chart or not args.grid:
             raise ValueError("verify needs --synthetic or both --chart and --grid")
         chart = _make_cli_chart(args)
-        tol_geom = args.tol_geometric
+        jet_mode, tol_geom = chart.jet_mode, args.tol_geometric
         if tol_geom is None:
-            tol_geom = 1e-5 if chart.jet_mode == "numeric" else 1e-7
-        points = _parse_grid(args.grid, chart.axis_names)
-        for pt in points:
-            label = ",".join(f"{a}={v:.6g}" for a, v in zip(chart.axis_names, pt))
-            if not domain_check(chart, pt).admissible:
-                skipped["inadmissible"] += 1
+            tol_geom = 1e-5 if jet_mode == "numeric" else 1e-7
+        labels, resids, items = [], [], []
+        for pt in _parse_grid(args.grid, chart.axis_names):
+            status, sf, _, riem = _point_form(chart, pt, riemann=True)
+            if status != "ok":
+                skipped[status] += 1
                 continue
-            try:
-                sf, _ = _chart_secondform(chart, pt)
-                riem = intrinsic_riemann(chart, pt)
-            except IllConditionedPointError:
-                skipped["ill-conditioned"] += 1
-                continue
-            except BoundaryProximityError:
-                skipped["boundary stencil"] += 1
-                continue
-            checked += 1
-            resid = gauss_residual(sf, riem, 0.0)
+            labels.append(",".join(f"{a}={v:.6g}"
+                                   for a, v in zip(chart.axis_names, pt)))
+            resids.append(gauss_residual(sf, riem, 0.0))
+            # An n = 2 chart has no inequality report: only the Gauss check.
+            items.append((sf, 0.0) if chart.n >= 3 else None)
+
+    violations = []
+    worst_slack = ("", math.inf)
+    worst_gauss = ("", 0.0)
+    for label, resid, rep in zip(labels, resids, _batch_reports(items, jet_mode)):
+        if resid is not None:
             if resid > worst_gauss[1]:
                 worst_gauss = (label, resid)
             if resid > tol_geom:
                 violations.append(f"{label}: Gauss residual {resid:.3e}")
-            if chart.n >= 3:
-                rep = inequality_report(sf, 0.0,
-                                        classify_tol=_classify_tol_for(chart.jet_mode))
-                s = min(rep.slack11, rep.slack41)
-                if s < worst_slack[1]:
-                    worst_slack = (label, s)
-                if s < -tol_alg:
-                    violations.append(f"{label}: slack {s:.3e}")
+        if rep is not None:
+            s = min(rep.slack11, rep.slack41)
+            if s < worst_slack[1]:
+                worst_slack = (label, s)
+            if s < -args.tol_algebraic:
+                violations.append(f"{label}: slack {s:.3e}")
 
-    print(f"verify: {checked} inputs checked, {len(violations)} violations")
+    print(f"verify: {len(labels)} inputs checked, {len(violations)} violations")
     if skipped:
         reasons = ", ".join(f"{r} {k}" for r, k in skipped.items())
         print(f"  skipped: {skipped.total()} ({reasons})")
@@ -457,9 +461,13 @@ def main(argv=None) -> int:
     try:
         for name, value in vars(args).items():
             if isinstance(value, float):
-                _finite(value, "--" + name.replace("_", "-"))
+                flag = "--" + name.replace("_", "-")
+                _finite(value, flag)
+                # A negative tolerance flags exact equality cases as violations.
+                if name in ("tol_algebraic", "tol_geometric") and value < 0:
+                    raise ValueError(f"{flag} must be >= 0, got {value!r}")
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, DomainError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IllConditionedPointError as exc:

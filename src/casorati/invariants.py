@@ -30,7 +30,6 @@ __all__ = [
     "sphere_grid",
     "tau_from_h",
     "tau_subspace",
-    "delta_curvatures",
     "proof_polynomial",
     "oprea_qp",
     "qp_objective",
@@ -452,15 +451,8 @@ def tau_subspace(h: SecondForm, L, c_tilde: float = 0.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# delta curvatures and proof polynomials
+# proof polynomials
 # ---------------------------------------------------------------------------
-
-def delta_curvatures(h: SecondForm):
-    """(delta_hat, delta_C, delta_c_legacy), the fields of
-    `inequality_report`; requires n >= 3."""
-    rep = inequality_report(h)
-    return rep.delta_hat, rep.delta_C, rep.delta_c_legacy
-
 
 def proof_polynomial(h: SecondForm, u, variant: str) -> float:
     """The nonnegative quadratic polynomial underlying each inequality.

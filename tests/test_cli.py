@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from casorati.cli import MAX_QP_N, MAX_SYNTHETIC_N, main
-from casorati.geometry import SecondForm
-from casorati.immersions import MAX_SPHERE_N
+from casorati.geometry import SecondForm, frame_at, second_form
+from casorati.immersions import MAX_SPHERE_N, make_chart
 from casorati.invariants import inequality_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -206,6 +206,17 @@ class TestNonFiniteInput:
                            f"synthetic {key} must be an integer", shown)
 
     @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("bad,shown", [
+        (True, "true"), ("0.5", '"0.5"'), (10 ** 400, "1" + "0" * 400)],
+        ids=["true", "string", "beyond-float"])
+    def test_non_numeric_c_tilde(self, tmp_path, capsys, command, bad, shown):
+        # float() would read true as 1.0 and "0.5" as 0.5, and overflows on
+        # an integer beyond the float range.
+        path = write_synthetic(tmp_path, identity_form(c_tilde=bad))
+        assert_input_error(capsys, main([command, "--synthetic", path]),
+                           "synthetic c_tilde must be a finite number", shown)
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
     def test_integral_float_dimension(self, tmp_path, capsys, command):
         path = write_synthetic(tmp_path, identity_form(n=3.0, p=1.0))
         assert main([command, "--synthetic", path]) == 0
@@ -321,7 +332,56 @@ class TestReport:
         assert rc == 2
 
 
+def report_columns(rep, frame_condition):
+    """The sweep columns of one `InvariantReport`."""
+    return {
+        "n": rep.n, "p": rep.p, "c_tilde": rep.c_tilde, "C": rep.C,
+        "inf_CL": rep.infCL.value, "sup_CL": rep.supCL.value,
+        "mean_H": rep.meanH, "tau": rep.tau, "rho": rep.rho,
+        "delta_hat": rep.delta_hat, "delta_C": rep.delta_C,
+        "delta_c_legacy": rep.delta_c_legacy, "slack_11": rep.slack11,
+        "slack_41": rep.slack41, "classification": rep.classification.kind,
+        "frame_condition": frame_condition,
+    }
+
+
+def shown(value) -> str:
+    # A float as the CSV writes it: repr, 17 significant digits.
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 class TestSweep:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chart,params,grid,statuses", [
+        ("chen_ideal", {"a": 1.0}, "t=0.0:3.0:4,u=-0.4:0.4:2,v=1.1",
+         {"ok", "inadmissible"}),
+        ("hypersphere", {"R": 2.0, "n": 4}, "phi1=0.02:1.5:3,phi2=0.02,"
+         "phi3=0.02:1:2,phi4=1", {"ok", "ill-conditioned"}),
+    ], ids=["chen-ideal", "hypersphere-n4"])
+    def test_rows_equal_per_point_reports(self, tmp_path, fmt, chart, params,
+                                          grid, statuses):
+        # The sweep reports its points in one batch; each ok row must equal
+        # the report of that point's form alone, value by value.
+        param = ",".join(f"{k}={v}" for k, v in params.items())
+        rc, text = run(["sweep", "--chart", chart, "--param", param,
+                        "--grid", grid, "--format", fmt], tmp_path)
+        assert rc == 0
+        rows = (json.loads(text) if fmt == "json"
+                else list(csv.DictReader(text.splitlines())))
+        assert {row["status"] for row in rows} == statuses
+        c = make_chart(chart, params)
+        for row in rows:
+            if row["status"] != "ok":
+                continue
+            pt = np.array([float(row[a]) for a in c.axis_names])
+            frame = frame_at(c, pt)
+            # 1e-6: the CLI's classification tolerance for analytic jets.
+            rep = inequality_report(second_form(c, pt, frame), 0.0,
+                                    classify_tol=1e-6)
+            want = report_columns(rep, frame.condition)
+            assert {k: shown(row[k]) for k in want} == {
+                k: shown(v) for k, v in want.items()}
+
     def test_inadmissible_rows_kept(self, tmp_path):
         rc, text = run(["sweep", "--chart", "chen_ideal", "--param", "a=1",
                         "--grid", "t=0.0:2.0:5,u=0.3,v=1.1"], tmp_path,
@@ -412,6 +472,41 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert rc == 0
         assert lines[:2] == [summary, skipped]
+
+    def test_chart_output_in_grid_order(self, capsys):
+        # All three skip reasons, and with --tol-geometric 0 every checked
+        # point is a Gauss violation: every line names its point in grid order.
+        rc = main(["verify", "--chart", "hypersphere", "--param", "R=2,n=3",
+                   "--grid", "phi1=0:0.01:3,phi2=0.005:1.205:3,phi3=1:6.28:2",
+                   "--tol-geometric", "0"])
+        assert rc == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "verify: 4 inputs checked, 4 violations",
+            "  skipped: 14 (inadmissible 6, ill-conditioned 4, boundary stencil 4)",
+            "  worst slack: 4.166667e-02 at phi1=0.005,phi2=1.205,phi3=1",
+            "  worst Gauss residual: 7.936547e+01 at phi1=0.005,phi2=0.605,phi3=1",
+            "  VIOLATION phi1=0.005,phi2=0.605,phi3=1: Gauss residual 7.937e+01",
+            "  VIOLATION phi1=0.005,phi2=1.205,phi3=1: Gauss residual 7.937e+01",
+            "  VIOLATION phi1=0.01,phi2=0.605,phi3=1: Gauss residual 1.052e+00",
+            "  VIOLATION phi1=0.01,phi2=1.205,phi3=1: Gauss residual 1.052e+00",
+        ]
+
+    SPHERE = ["verify", "--chart", "hypersphere", "--param", "R=2,n=3",
+              "--grid", "phi1=0.9,phi2=1.2,phi3=2.0"]
+
+    @pytest.mark.parametrize("args,flag", [
+        (SPHERE + ["--tol-algebraic", "-1"], "--tol-algebraic"),
+        (["verify", "--chart", "paraboloid", "--grid", "x=0:0.5:3,y=0",
+          "--tol-geometric=-1e-3"], "--tol-geometric"),
+    ], ids=["tol-algebraic", "tol-geometric"])
+    def test_negative_tolerance_exit_2(self, capsys, args, flag):
+        # Each would turn an exact immersion into a false violation (exit 1).
+        assert_input_error(capsys, main(args), flag, ">= 0")
+
+    def test_zero_tolerance_valid(self, capsys):
+        rc = main(self.SPHERE + ["--tol-algebraic", "0"])
+        assert (rc, capsys.readouterr().out.splitlines()[0]) == (
+            0, "verify: 1 inputs checked, 0 violations")
 
     def test_synthetic_corpus_passes(self, tmp_path, capsys):
         rng = np.random.default_rng(9)

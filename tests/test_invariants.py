@@ -12,7 +12,6 @@ from casorati.invariants import (
     casorati_hyperplane,
     casorati_total,
     classify_ideal,
-    delta_curvatures,
     einstein_residual,
     extremize_hyperplane,
     hyperplane_extrema_batch,
@@ -354,27 +353,21 @@ class TestTau:
 class TestDeltaCurvatures:
     def test_umbilical(self):
         lam = 1.3
-        dh, dC, dl = delta_curvatures(diag_form(lam, lam, lam))
-        assert dh == pytest.approx(7.0 / 6.0 * lam ** 2, abs=1e-10)
-        assert dC == pytest.approx(7.0 / 6.0 * lam ** 2, abs=1e-10)
-        assert dl == pytest.approx(5.0 / 6.0 * lam ** 2, abs=1e-10)
+        rep = inequality_report(diag_form(lam, lam, lam))
+        assert rep.delta_hat == pytest.approx(7.0 / 6.0 * lam ** 2, abs=1e-10)
+        assert rep.delta_C == pytest.approx(7.0 / 6.0 * lam ** 2, abs=1e-10)
+        assert rep.delta_c_legacy == pytest.approx(5.0 / 6.0 * lam ** 2, abs=1e-10)
 
     def test_ideal_patterns(self):
         lam = 0.9
-        _, dC, _ = delta_curvatures(diag_form(lam, lam, 2.0 * lam))
-        assert dC == pytest.approx(5.0 / 3.0 * lam ** 2, abs=1e-10)
-        dh, _, _ = delta_curvatures(diag_form(2.0 * lam, 2.0 * lam, lam))
-        assert dh == pytest.approx(8.0 / 3.0 * lam ** 2, abs=1e-10)
-
-    def test_fields_of_report(self):
-        sf = SecondForm(4, 2, random_forms(4, 2, 1, seed=4)[0])
-        rep = inequality_report(sf)
-        assert delta_curvatures(sf) == (rep.delta_hat, rep.delta_C,
-                                        rep.delta_c_legacy)
+        rep = inequality_report(diag_form(lam, lam, 2.0 * lam))
+        assert rep.delta_C == pytest.approx(5.0 / 3.0 * lam ** 2, abs=1e-10)
+        rep = inequality_report(diag_form(2.0 * lam, 2.0 * lam, lam))
+        assert rep.delta_hat == pytest.approx(8.0 / 3.0 * lam ** 2, abs=1e-10)
 
     def test_needs_three_dimensions(self):
         with pytest.raises(ValueError):
-            delta_curvatures(SecondForm(2, 1, np.zeros((1, 2, 2))))
+            inequality_report(SecondForm(2, 1, np.zeros((1, 2, 2))))
 
 
 class TestProofPolynomial:
