@@ -20,10 +20,11 @@ from pathlib import Path
 
 # numpy's OpenBLAS starts a pool of one thread per core when numpy loads. The
 # matrices here are too small for it (n <= 64, and at most a (p + 1, 21) @
-# (21, 16384) grid-scan product): on 2 cores the second thread cost 60-90 ms of
-# CPU per process and saved no wall time. So the command line asks for one
-# thread unless the caller set a count. Once numpy is loaded the pool exists,
-# and the variable would only pass on to child processes: leave it alone then.
+# (21, 4096) grid-scan product at n = 6): on 2 cores the second thread cost
+# 60-90 ms of CPU per process and saved no wall time. So the command line asks
+# for one thread unless the caller set a count. Once numpy is loaded the pool
+# exists, and the variable would only pass on to child processes: leave it
+# alone then.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -63,7 +64,8 @@ MAX_GRID_POINTS = 10 ** 6
 # (n-1) x (n-1) restricted Hessian, O(n^3): about 0.2 s at this limit.
 MAX_QP_N = 1000
 # A p >= 2 extremum scans the sphere grid through n(n+1)/2 monomial rows of
-# up to 2^14 doubles each: about 360 MB peak and 2 s per report at this limit.
+# 4096 doubles per grid chunk: at this limit a p = 2 `report` process peaks at
+# about 110 MB and takes about 1 s (2-core Xeon).
 MAX_SYNTHETIC_N = 64
 
 
@@ -278,8 +280,12 @@ def _cmd_report(args) -> int:
 
 def _sweep_rows(args):
     chart = _make_cli_chart(args)
+    grid = _parse_grid(args.grid, chart.axis_names)
+    # Before any point: whether a point has a form must not decide the exit.
+    if chart.n < 3:
+        raise ValueError("inequality report needs n >= 3")
     rows, items, conds = [], [], []
-    for pt in _parse_grid(args.grid, chart.axis_names):
+    for pt in grid:
         status, sf, cond, _ = _point_form(chart, pt)
         row = {a: float(v) for a, v in zip(chart.axis_names, pt)}
         row["status"] = status

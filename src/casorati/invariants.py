@@ -9,7 +9,6 @@ Ricci/Einstein/Weyl checks, and the equality-case classification.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -45,8 +44,13 @@ __all__ = [
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Newton iteration cap of the p >= 2 hyperplane extremum, after the grid seed.
 _NEWTON_ITERS = 60
-# Most (form, grid node) values the p >= 2 grid scan holds at once.
+# Lattice points of the sphere grid made, and scanned, at a time.
+_GRID_CHUNK = 4096
+# Most (form, grid node) values the p >= 2 grid scan holds at once, and most
+# (row, step) candidates one backtracking evaluation holds.
 _CHUNK = 1 << 14
+# Step halvings tried after a Newton step that does not improve its row.
+_HALVINGS = 29
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +151,28 @@ def sphere_grid(n: int, size: int) -> np.ndarray:
     first 2^m points, 2^m the least power of two >= size, of the R_d
     Kronecker lattice (Roberts' generalized golden ratio) in [0, 1)^d with
     d = 2 ceil(n/2), maps each coordinate pair to two standard normals by
-    Box-Muller and normalizes the first n. No random stream is drawn, so the
-    grid does not depend on the numpy version.
+    Box-Muller and normalizes the first n; a point whose n normals have norm
+    at most 1e-8 is dropped. No random stream is drawn, so the grid does not
+    depend on the numpy version. The grid is the concatenation of the chunks
+    of `_grid_chunks`, which the p >= 2 extremum scans one at a time.
     """
+    chunks = [U for _, U in _grid_chunks(n, size)]
+    return np.concatenate(chunks) if chunks else np.empty((0, n))  # size <= 0
+
+
+def _lattice_size(n: int, size: int) -> int:
+    """Lattice points behind `sphere_grid(n, size)`, dropped ones included."""
+    return size if n == 3 else 2 ** math.ceil(math.log2(max(2, size)))
+
+
+def _grid_nodes(n: int, size: int, i: np.ndarray) -> tuple:
+    """The nodes of `sphere_grid(n, size)` at lattice indices i: the indices
+    kept and their unit nodes, in the order of i."""
     if n == 3:
-        i = np.arange(size)
         z = 1.0 - (2.0 * i + 1.0) / size
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         phi = i * _GOLDEN_ANGLE
-        return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    m = int(math.ceil(math.log2(max(2, size))))
+        return i, np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     d = 2 * ((n + 1) // 2)
     # phi_d is the positive root of x^(d+1) = x + 1; the fixed-point map
     # contracts by less than 1/(d+1), so 64 steps reach double precision.
@@ -164,7 +180,8 @@ def sphere_grid(n: int, size: int) -> np.ndarray:
     for _ in range(64):
         phi_d = (1.0 + phi_d) ** (1.0 / (d + 1))
     alpha = phi_d ** -np.arange(1.0, d + 1)
-    pts = (0.5 + np.arange(2 ** m)[:, None] * alpha) % 1.0
+    pts = 0.5 + i[:, None] * alpha
+    pts -= np.floor(pts)            # pts % 1.0 exactly (pts > 0), but cheaper
     # 1 - u lies in (0, 1], so every radius is finite.
     radius = np.sqrt(-2.0 * np.log1p(-pts[:, 0::2]))
     angle = 2.0 * math.pi * pts[:, 1::2]
@@ -174,7 +191,15 @@ def sphere_grid(n: int, size: int) -> np.ndarray:
     z = z[:, :n]
     norms = np.linalg.norm(z, axis=1)
     keep = norms > 1e-8
-    return z[keep] / norms[keep, None]
+    return i[keep], z[keep] / norms[keep, None]
+
+
+def _grid_chunks(n: int, size: int):
+    """`sphere_grid(n, size)` in order, as (lattice indices, unit nodes)
+    chunks of at most `_GRID_CHUNK` lattice points."""
+    count = _lattice_size(n, size)
+    for i0 in range(0, count, _GRID_CHUNK):
+        yield _grid_nodes(n, size, np.arange(i0, min(i0 + _GRID_CHUNK, count)))
 
 
 def _hypersurface_extrema(A: np.ndarray, modes: tuple):
@@ -223,39 +248,66 @@ def _check_extremum_args(mode: str, n: int) -> None:
         raise ValueError("hyperplane extremization needs n >= 3")
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_grid(n: int, size: int) -> np.ndarray:
-    """Read-only `sphere_grid(n, size)`, built once per (n, size)."""
-    U = sphere_grid(n, size)
-    U.flags.writeable = False
-    return U
-
-
 def _values_at(h, S, tr2, u):
-    """(n-1) C(u-perp) = |h|^2 - 2 u^T S u + sum_r (u^T h_r u)^2 for matched
-    batches h (L,p,n,n), S = sum_r h_r^2 (L,n,n), tr2 (L,), u (L,n)."""
-    hu = (h @ u[:, None, :, None])[..., 0]
-    quad = (hu * u[:, None, :]).sum(-1)
-    uSu = ((S @ u[:, :, None])[..., 0] * u).sum(-1)
+    """(n-1) C(u-perp) = |h|^2 - 2 u^T S u + sum_r (u^T h_r u)^2 for forms h
+    (..., p, n, n), S = sum_r h_r^2 (..., n, n), tr2 (...) and points u
+    (..., n), their leading axes broadcast."""
+    hu = (h @ u[..., None, :, None])[..., 0]
+    quad = (hu * u[..., None, :]).sum(-1)
+    uSu = ((S @ u[..., :, None])[..., 0] * u).sum(-1)
     return tr2 - 2.0 * uSu + (quad * quad).sum(-1)
+
+
+def _backtrack(h, S, tr2, sign, f, ul, step, t):
+    """Backtracking for Newton rows with forms h (R, p, n, n), S (R, n, n),
+    tr2 (R,), signs (R,), values f (R,), points ul (R, n) and steps (R, n):
+    the candidates ul + t_k step, normalized, for all t_k in t (K,) at once,
+    in evaluations of at most `_CHUNK` (row, candidate) pairs. A row takes
+    its first candidate that lowers sign * f, unless an earlier failed one
+    rounds back onto ul: then it is stuck. This is the sequential loop over
+    t, bit for bit. Returns the masks of the rows that moved and of those
+    stuck, and each row's chosen point and value (meaningful where moved).
+    """
+    R, K = sign.size, t.size
+    moved = np.zeros(R, dtype=bool)
+    stuck = np.zeros(R, dtype=bool)
+    u_new, f_new = np.empty_like(ul), np.empty_like(f)
+    rc = max(1, _CHUNK // K)
+    for r0 in range(0, R, rc):
+        r = slice(r0, r0 + rc)
+        cand = ul[r, None, :] + t[:, None] * step[r, None, :]      # (R', K, n)
+        cand /= np.sqrt((cand * cand).sum(-1))[..., None]
+        fc = _values_at(h[r, None], S[r, None], tr2[r, None], cand)
+        s = sign[r, None]
+        better = s * fc < s * f[r, None]
+        back = (cand == ul[r, None, :]).all(-1)
+        k = np.argmax(better | back, axis=1)                 # first decided
+        rows = np.arange(k.size)
+        moved[r] = better[rows, k]
+        stuck[r] = back[rows, k] & ~moved[r]
+        u_new[r], f_new[r] = cand[rows, k], fc[rows, k]
+    return moved, stuck, u_new, f_new
 
 
 def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
     """Grid seed plus safeguarded Riemannian Newton for forms h (B,p,n,n).
 
-    The grid `sphere_grid(n, grid_size)` is scanned once, in chunks of at
-    most `_CHUNK` (form, node) pairs, with u^T A u summed over the
-    upper-triangle monomials u_i u_j; each requested mode keeps its own best
-    node (least f for "inf", least -f for "sup"). One Newton iteration then
-    runs on the sphere over all len(modes) * B (mode, form) rows, each with
-    its own sign: the restricted Hessian is clipped to be positive (for the
-    row's direction), steps are halved until the value improves, and a row
-    stops once its tangent gradient is below 1e-14 (1 + |h|^2), no halving
-    improves it, or a failed step rounds back onto its current point. Every
-    operation acts on one row at a time or elementwise, so a result depends
-    neither on the batch its form came in nor on the other modes asked for.
-    Returns (n-1) C(u-perp) at the polished points (M, B), the unit points u
-    (M, B, n) and the best grid values (M, B), M = len(modes).
+    The grid `sphere_grid(n, grid_size)` is made and scanned one chunk of
+    `_grid_chunks` at a time, in batches of at most `_CHUNK` (form, node)
+    pairs, with u^T A u summed over the upper-triangle monomials u_i u_j;
+    each requested mode keeps the lattice index of its own best node (the
+    first least f for "inf", the first least -f for "sup"), and only those
+    nodes are made again as Newton seeds. One Newton iteration then runs on
+    the sphere over all len(modes) * B (mode, form) rows, each with its own
+    sign: the restricted Hessian is clipped to be positive (for the row's
+    direction), and the full step and its halvings (`_backtrack`) are tried
+    until the value improves; a row stops once its tangent gradient is below
+    1e-14 (1 + |h|^2), no halving improves it, or a failed step rounds back
+    onto its current point. Every operation acts on one row at a time or
+    elementwise, so a result depends neither on the batch its form came in
+    nor on the other modes asked for. Returns (n-1) C(u-perp) at the
+    polished points (M, B), the unit points u (M, B, n), the best grid
+    values (M, B), M = len(modes), and the number of grid nodes.
     """
     h = np.ascontiguousarray(h)
     B, p, n, _ = h.shape
@@ -264,19 +316,19 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
     S = (h @ h).sum(axis=1)
     tr2 = (h * h).sum(axis=(1, 2, 3))
 
-    U = _cached_grid(n, grid_size)
-    G = U.shape[0]
     iu, ju = np.triu_indices(n)
     coef = (np.concatenate([S[:, None], h], axis=1)[:, :, iu, ju]
             * np.where(iu == ju, 1.0, 2.0))          # (B, p+1, K)
     best = np.full((M, B), np.inf)                    # sign * f at the best node
-    arg = np.zeros((M, B), dtype=int)
-    gc = min(G, _CHUNK)
-    bc = max(1, _CHUNK // gc)
-    mon = np.empty((iu.size, gc))                     # u_i u_j, i <= j
-    for g0 in range(0, G, gc):
-        Ut = U[g0:g0 + gc].T
-        mon = mon[:, :Ut.shape[1]]
+    arg = np.zeros((M, B), dtype=int)                 # its lattice index
+    nodes = 0
+    buf = np.empty((iu.size, min(_GRID_CHUNK, _lattice_size(n, grid_size))))
+    for lattice, U in _grid_chunks(n, grid_size):
+        gc = lattice.size
+        nodes += gc
+        bc = max(1, _CHUNK // gc)
+        Ut = U.T
+        mon = buf[:, :gc]                             # u_i u_j, i <= j
         for k, (i, j) in enumerate(zip(iu, ju)):
             np.multiply(Ut[i], Ut[j], out=mon[k])
         for b0 in range(0, B, bc):
@@ -292,7 +344,7 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
                 top, at = best[m, b0:b0 + bc], arg[m, b0:b0 + bc]
                 better = v < top
                 top[better] = v[better]
-                at[better] = a[better] + g0
+                at[better] = lattice[a[better]]
     grid_f = signs[:, None] * best
 
     # Newton rows are (mode, form) pairs, mode-major.
@@ -300,9 +352,10 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
     sign = np.repeat(signs, B)
     h, S, tr2 = h[form], S[form], tr2[form]
     f = grid_f.flatten()                             # a copy: polished in place
-    u = U[arg.ravel()]
+    _, u = _grid_nodes(n, grid_size, arg.ravel())
     scale = 1.0 + tr2
     eye = np.eye(n)
+    halved = np.ldexp(1.0, -np.arange(1, _HALVINGS + 1))   # 2^-1, 2^-2, ...
     live = np.ones(M * B, dtype=bool)
     for _ in range(_NEWTON_ITERS):
         idx = np.flatnonzero(live)
@@ -332,32 +385,20 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
         w = np.maximum(w, floor[:, None])
         step = -(V @ (E @ ((E.transpose(0, 2, 1) @ (Vt @ g[:, :, None]))
                            / w[:, :, None])))[..., 0]
-        # Backtracking: halve each row's step until its value improves. A
-        # row whose failed candidate rounds back onto its current point has
-        # converged to rounding and stops.
-        t = np.ones(L)
-        pend = np.arange(L)
-        for _ in range(30):
-            cand = ul[pend] + t[pend, None] * step[pend]
-            cand /= np.sqrt((cand * cand).sum(-1))[:, None]
-            j = idx[pend]
-            fc = _values_at(h[j], S[j], tr2[j], cand)
-            ok = sign[j] * fc < sign[j] * f[j]
-            u[j[ok]] = cand[ok]
-            f[j[ok]] = fc[ok]
-            fail = ~ok
-            if fail.any():
-                stuck = (cand == ul[pend]).all(-1)
-                if stuck.any():
-                    stuck &= fail
-                    live[j[stuck]] = False
-                    fail &= ~stuck
-            pend = pend[fail]
-            if pend.size == 0:
-                break
-            t[pend] *= 0.5
-        live[idx[pend]] = False
-    return f.reshape(M, B), u.reshape(M, B, n), grid_f
+        # The full step of every row first, then all halvings of the rows
+        # it neither improves nor leaves stuck. A row stuck or left without
+        # an improving step has converged to rounding and stops.
+        tl = tr2[idx]
+        moved, stuck, u_new, f_new = _backtrack(hl, Sl, tl, sl, f[idx], ul,
+                                                step, np.ones(1))
+        rest = np.flatnonzero(~(moved | stuck))
+        moved[rest], _, u_new[rest], f_new[rest] = _backtrack(
+            hl[rest], Sl[rest], tl[rest], sl[rest], f[idx[rest]], ul[rest],
+            step[rest], halved)
+        u[idx[moved]] = u_new[moved]
+        f[idx[moved]] = f_new[moved]
+        live[idx[~moved]] = False
+    return f.reshape(M, B), u.reshape(M, B, n), grid_f, nodes
 
 
 def _extrema(h: np.ndarray, modes: tuple, grid_size: int | None) -> list:
@@ -371,8 +412,7 @@ def _extrema(h: np.ndarray, modes: tuple, grid_size: int | None) -> list:
     else:
         if grid_size is None:
             grid_size = min(32768, 4096 * 2 ** (n - 3))
-        vals, us, grid_f = _grid_newton(h, grid_size, modes)
-        nodes = int(_cached_grid(n, grid_size).shape[0])
+        vals, us, grid_f, nodes = _grid_newton(h, grid_size, modes)
         certs = [[{"method": "grid_newton", "grid_nodes": nodes,
                    "refine_iters": _NEWTON_ITERS,
                    "grid_value": float(gv) / (n - 1)} for gv in row]

@@ -441,6 +441,16 @@ class TestSweep:
                    "--grid", "x=0:0.5:10000000000000,y=0.1"])
         assert_input_error(capsys, rc, "10000000000000 points", "limit is 1000000")
 
+    @pytest.mark.parametrize("grid", ["th1=0,th2=0.5", "th1=0:1:3,th2=0.5"],
+                             ids=["inadmissible-point", "three-points"])
+    def test_n2_chart_exits_2_before_any_point(self, capsys, grid):
+        # An n = 2 chart has no inequality report, whether or not a grid
+        # point would have a form.
+        rc = main(["sweep", "--chart", "flat_torus", "--grid", grid])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == "error: inequality report needs n >= 3\n"
+
     def test_synthetic_is_not_a_sweep_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--chart", "chen_ideal", "--param", "a=1",

@@ -1,6 +1,9 @@
 """Unit tests for Casorati invariants, extremization, proof polynomials, the
 trace-constrained QP, curvature tensors, and classification."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,7 @@ from casorati.invariants import (
     tau_subspace,
     weyl_norm,
 )
-from casorati.invariants import _cached_grid, _grid_newton
+from casorati.invariants import _HALVINGS, _backtrack, _grid_newton
 
 
 def diag_form(*vals, p=1):
@@ -295,16 +298,256 @@ class TestGridNewton:
         both = _grid_newton(h, size, ("inf", "sup"))
         for m, mode in enumerate(("inf", "sup")):
             alone = _grid_newton(h, size, (mode,))
-            for got, want in zip(both, alone):   # values, u, grid values
+            for got, want in zip(both[:3], alone[:3]):  # values, u, grid values
                 assert np.array_equal(got[m], want[0]), mode
+            assert both[3] == alone[3] == sphere_grid(n, size).shape[0]
 
-    def test_grid_cache_is_read_only(self):
-        U = _cached_grid(4, 512)
-        assert U is _cached_grid(4, 512)
-        assert not U.flags.writeable
-        fresh = sphere_grid(4, 512)
-        assert fresh.flags.writeable and fresh is not sphere_grid(4, 512)
-        assert np.array_equal(U, fresh)
+
+# Frozen copies of the sphere grid and the grid+Newton extremum as they were
+# before the grid was streamed and the step halvings batched: the whole grid
+# at once (with % 1.0), the scan in chunks of 2^14 nodes and the sequential
+# 30-halving backtracking loop. The current code must reproduce them bit for
+# bit.
+
+def frozen_sphere_grid(n, size):
+    if n == 3:
+        i = np.arange(size)
+        z = 1.0 - (2.0 * i + 1.0) / size
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
+        return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    m = int(math.ceil(math.log2(max(2, size))))
+    d = 2 * ((n + 1) // 2)
+    phi_d = 2.0
+    for _ in range(64):
+        phi_d = (1.0 + phi_d) ** (1.0 / (d + 1))
+    alpha = phi_d ** -np.arange(1.0, d + 1)
+    pts = (0.5 + np.arange(2 ** m)[:, None] * alpha) % 1.0
+    radius = np.sqrt(-2.0 * np.log1p(-pts[:, 0::2]))
+    angle = 2.0 * math.pi * pts[:, 1::2]
+    z = np.empty_like(pts)
+    z[:, 0::2] = radius * np.cos(angle)
+    z[:, 1::2] = radius * np.sin(angle)
+    z = z[:, :n]
+    norms = np.linalg.norm(z, axis=1)
+    keep = norms > 1e-8
+    return z[keep] / norms[keep, None]
+
+
+def frozen_values_at(h, S, tr2, u):
+    hu = (h @ u[:, None, :, None])[..., 0]
+    quad = (hu * u[:, None, :]).sum(-1)
+    uSu = ((S @ u[:, :, None])[..., 0] * u).sum(-1)
+    return tr2 - 2.0 * uSu + (quad * quad).sum(-1)
+
+
+def frozen_grid_newton(h, grid_size, modes):
+    chunk = 1 << 14
+    B, p, n, _ = h.shape
+    signs = np.array([1.0 if mode == "inf" else -1.0 for mode in modes])
+    M = signs.size
+    S = (h @ h).sum(axis=1)
+    tr2 = (h * h).sum(axis=(1, 2, 3))
+    U = frozen_sphere_grid(n, grid_size)
+    G = U.shape[0]
+    iu, ju = np.triu_indices(n)
+    coef = (np.concatenate([S[:, None], h], axis=1)[:, :, iu, ju]
+            * np.where(iu == ju, 1.0, 2.0))
+    best = np.full((M, B), np.inf)
+    arg = np.zeros((M, B), dtype=int)
+    gc = min(G, chunk)
+    bc = max(1, chunk // gc)
+    mon = np.empty((iu.size, gc))
+    for g0 in range(0, G, gc):
+        Ut = U[g0:g0 + gc].T
+        mon = mon[:, :Ut.shape[1]]
+        for k, (i, j) in enumerate(zip(iu, ju)):
+            np.multiply(Ut[i], Ut[j], out=mon[k])
+        for b0 in range(0, B, bc):
+            q = coef[b0:b0 + bc] @ mon
+            f = tr2[b0:b0 + bc, None] - 2.0 * q[:, 0]
+            for r in range(1, p + 1):
+                f += q[:, r] * q[:, r]
+            rows = np.arange(f.shape[0])
+            for m, sign in enumerate(signs):
+                a = np.argmin(f, axis=1) if sign > 0 else np.argmax(f, axis=1)
+                v = sign * f[rows, a]
+                top, at = best[m, b0:b0 + bc], arg[m, b0:b0 + bc]
+                better = v < top
+                top[better] = v[better]
+                at[better] = a[better] + g0
+    grid_f = signs[:, None] * best
+    form = np.tile(np.arange(B), M)
+    sign = np.repeat(signs, B)
+    h, S, tr2 = h[form], S[form], tr2[form]
+    f = grid_f.flatten()
+    u = U[arg.ravel()]
+    scale = 1.0 + tr2
+    eye = np.eye(n)
+    live = np.ones(M * B, dtype=bool)
+    for _ in range(60):
+        idx = np.flatnonzero(live)
+        hl, Sl, ul, sl = h[idx], S[idx], u[idx], sign[idx]
+        hu = (hl @ ul[:, None, :, None])[..., 0]
+        quad = (hu * ul[:, None, :]).sum(-1)
+        g = sl[:, None] * (-4.0 * (Sl @ ul[:, :, None])[..., 0]
+                           + 4.0 * (quad[:, None, :] @ hu)[:, 0])
+        gu = (g * ul).sum(-1)
+        g_r = g - gu[:, None] * ul
+        moving = np.sqrt((g_r * g_r).sum(-1)) > 1e-14 * scale[idx]
+        live[idx[~moving]] = False
+        if not moving.any():
+            break
+        idx, hl, Sl, ul, sl, hu, quad, g, gu = (
+            x[moving] for x in (idx, hl, Sl, ul, sl, hu, quad, g, gu))
+        L = idx.size
+        Q, _ = np.linalg.qr(np.concatenate(
+            [ul[:, :, None], np.broadcast_to(eye, (L, n, n))], axis=2))
+        V = Q[:, :, 1:]
+        Vt = V.transpose(0, 2, 1)
+        H = (sl[:, None, None] * (-4.0 * Sl + 8.0 * (hu.transpose(0, 2, 1) @ hu)
+                                  + 4.0 * (quad[:, :, None, None] * hl).sum(axis=1))
+             - gu[:, None, None] * eye)
+        w, E = np.linalg.eigh(Vt @ H @ V)
+        floor = 1e-8 * (1.0 + np.abs(w).max(-1))
+        w = np.maximum(w, floor[:, None])
+        step = -(V @ (E @ ((E.transpose(0, 2, 1) @ (Vt @ g[:, :, None]))
+                           / w[:, :, None])))[..., 0]
+        t = np.ones(L)
+        pend = np.arange(L)
+        for _ in range(30):
+            cand = ul[pend] + t[pend, None] * step[pend]
+            cand /= np.sqrt((cand * cand).sum(-1))[:, None]
+            j = idx[pend]
+            fc = frozen_values_at(h[j], S[j], tr2[j], cand)
+            ok = sign[j] * fc < sign[j] * f[j]
+            u[j[ok]] = cand[ok]
+            f[j[ok]] = fc[ok]
+            fail = ~ok
+            if fail.any():
+                stuck = (cand == ul[pend]).all(-1)
+                if stuck.any():
+                    stuck &= fail
+                    live[j[stuck]] = False
+                    fail &= ~stuck
+            pend = pend[fail]
+            if pend.size == 0:
+                break
+            t[pend] *= 0.5
+        live[idx[pend]] = False
+    return f.reshape(M, B), u.reshape(M, B, n), grid_f
+
+
+def bits(x):
+    """The IEEE bit patterns of x, so that equality also checks sign bits."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+def roadmap_forms():
+    """60 forms (A + A^T)/2, A uniform(-1, 1), from one default_rng(11)
+    stream for each (n, p) in turn: the reproducer corpus of the p >= 2 sup."""
+    rng = np.random.default_rng(11)
+    out = {}
+    for n, p in ((3, 2), (4, 2), (5, 3), (6, 2), (6, 3)):
+        forms = []
+        for _ in range(60):
+            A = rng.uniform(-1.0, 1.0, (p, n, n))
+            forms.append(0.5 * (A + A.transpose(0, 2, 1)))
+        out[n, p] = np.array(forms)
+    return out
+
+
+class TestStreamedGrid:
+    """The streamed grid and the batched halvings reproduce the frozen
+    whole-grid scan and sequential halving loop bit for bit, with less
+    memory."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("size", [512, 700, "default"])
+    def test_grid_matches_frozen(self, n, size):
+        if size == "default":
+            size = min(32768, 4096 * 2 ** (n - 3))
+        got, want = sphere_grid(n, size), frozen_sphere_grid(n, size)
+        assert got.shape == want.shape
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_large_grid_matches_frozen(self):
+        got, want = sphere_grid(6, 10 ** 5), frozen_sphere_grid(6, 10 ** 5)
+        assert got.shape == want.shape == (2 ** 17, 6)
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("n, p", [(3, 2), (4, 2), (5, 3), (6, 2), (6, 3)])
+    def test_grid_newton_matches_frozen(self, n, p):
+        h = roadmap_forms()[n, p]
+        size = min(32768, 4096 * 2 ** (n - 3))
+        got = _grid_newton(h, size, ("inf", "sup"))
+        want = frozen_grid_newton(h, size, ("inf", "sup"))
+        for g, w in zip(got[:3], want):          # values, u, grid values
+            assert g.shape == w.shape
+            assert np.array_equal(bits(g), bits(w))
+        assert got[3] == frozen_sphere_grid(n, size).shape[0]
+
+    def test_backtrack_matches_sequential_halving(self):
+        # Steps of length 2^-60 .. 2^8 along the descent direction: rows that
+        # take the full step, a halving, nothing, or round back onto u.
+        rng = np.random.default_rng(5)
+        R, p, n = 600, 2, 4
+        h = random_forms(n, p, R, seed=6)
+        S = (h @ h).sum(axis=1)
+        tr2 = (h * h).sum(axis=(1, 2, 3))
+        sign = rng.choice([-1.0, 1.0], R)
+        ul = rng.normal(size=(R, n))
+        ul /= np.sqrt((ul * ul).sum(-1))[:, None]
+        f = frozen_values_at(h, S, tr2, ul)
+        g = sign[:, None] * (-4.0 * (S @ ul[:, :, None])[..., 0]
+                             + 4.0 * np.einsum("rp,rpi->ri",
+                                               np.einsum("rpij,ri,rj->rp", h, ul, ul),
+                                               np.einsum("rpij,rj->rpi", h, ul)))
+        g -= (g * ul).sum(-1)[:, None] * ul
+        step = -g / np.linalg.norm(g, axis=1)[:, None] * np.ldexp(
+            1.0, rng.integers(-60, 9, R))[:, None]
+        # The sequential loop: t = 1, 1/2, ... until a candidate improves,
+        # rounds back onto u, or 30 tries fail.
+        u_seq, f_seq = ul.copy(), f.copy()
+        moved_seq = np.zeros(R, dtype=bool)
+        stuck_seq = np.zeros(R, dtype=bool)
+        first = np.full(R, -1)
+        for r in range(R):
+            t = 1.0
+            for k in range(30):
+                cand = ul[r:r + 1] + t * step[r:r + 1]
+                cand /= np.sqrt((cand * cand).sum(-1))[:, None]
+                fc = frozen_values_at(h[r:r + 1], S[r:r + 1], tr2[r:r + 1], cand)[0]
+                if sign[r] * fc < sign[r] * f[r]:
+                    u_seq[r], f_seq[r], moved_seq[r], first[r] = cand[0], fc, True, k
+                    break
+                if (cand[0] == ul[r]).all():
+                    stuck_seq[r] = True
+                    break
+                t *= 0.5
+        assert ((first == 0).sum() and (first > 0).sum() and stuck_seq.sum()
+                and (~moved_seq & ~stuck_seq).sum())
+        assert _HALVINGS == 29
+        t = np.ldexp(1.0, -np.arange(30))                # 1, 1/2, ..., 2^-29
+        moved, stuck, u_new, f_new = _backtrack(h, S, tr2, sign, f, ul, step, t)
+        assert np.array_equal(moved, moved_seq)
+        assert np.array_equal(stuck, stuck_seq)
+        assert np.array_equal(bits(u_new[moved]), bits(u_seq[moved]))
+        assert np.array_equal(bits(f_new[moved]), bits(f_seq[moved]))
+
+    @pytest.mark.parametrize("count", [8, 64])
+    def test_memory_peak(self, count):
+        # The whole n = 6 grid at once peaked at 8.1 MB here; streamed, the
+        # peak stays near one chunk's arrays and does not grow with a batch.
+        h = random_forms(6, 3, count, seed=count)
+        tracemalloc.start()
+        try:
+            _grid_newton(h, 32768, ("inf", "sup"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
 
 
 class TestTau:
