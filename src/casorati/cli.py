@@ -20,11 +20,11 @@ from pathlib import Path
 
 # numpy's OpenBLAS starts a pool of one thread per core when numpy loads. The
 # matrices here are too small for it (n <= 64, and at most a (p + 1, 21) @
-# (21, 4096) grid-scan product at n = 6): on 2 cores the second thread cost
-# 60-90 ms of CPU per process and saved no wall time. So the command line asks
-# for one thread unless the caller set a count. Once numpy is loaded the pool
-# exists, and the variable would only pass on to child processes: leave it
-# alone then.
+# (21, 512) grid-scan product per form at n = 6): on 2 cores the second
+# thread cost 60-90 ms of CPU per process and saved no wall time. So the
+# command line asks for one thread unless the caller set a count. Once numpy
+# is loaded the pool exists, and the variable would only pass on to child
+# processes: leave it alone then.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -64,8 +64,8 @@ MAX_GRID_POINTS = 10 ** 6
 # (n-1) x (n-1) restricted Hessian, O(n^3): about 0.2 s at this limit.
 MAX_QP_N = 1000
 # A p >= 2 extremum scans the sphere grid through n(n+1)/2 monomial rows of
-# 4096 doubles per grid chunk: at this limit a p = 2 `report` process peaks at
-# about 110 MB and takes about 1 s (2-core Xeon).
+# 256 doubles per grid block from n = 8 on: at this limit a p = 2 `report`
+# process peaks at about 38 MB and takes 0.5-0.7 s (2-core Xeon).
 MAX_SYNTHETIC_N = 64
 
 
@@ -150,6 +150,9 @@ def _synthetic_from_dict(data: dict) -> tuple:
     n = _synthetic_number(data["n"], "n", integer=True)
     p = _synthetic_number(data["p"], "p", integer=True)
     c_tilde = _synthetic_number(data.get("c_tilde", 0.0), "c_tilde")
+    for key, value in (("n", n), ("p", p)):
+        if value < 1:
+            raise ValueError(f"synthetic {key} must be >= 1, got {value}")
     if n > MAX_SYNTHETIC_N:
         raise ValueError(f"synthetic n = {n} exceeds the limit "
                          f"MAX_SYNTHETIC_N = {MAX_SYNTHETIC_N}")
@@ -328,6 +331,8 @@ def _cmd_verify(args) -> int:
         if not isinstance(corpus, list):
             raise ValueError("synthetic corpus must be a JSON list of "
                              "{n, p, c_tilde, h} objects or one such object")
+        if not corpus:  # nothing checked must not pass
+            raise ValueError("synthetic corpus is empty")
         # Validate every entry before any report, then report them together.
         items = []
         for i, entry in enumerate(corpus):

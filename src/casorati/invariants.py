@@ -44,10 +44,12 @@ __all__ = [
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Newton iteration cap of the p >= 2 hyperplane extremum, after the grid seed.
 _NEWTON_ITERS = 60
-# Lattice points of the sphere grid made, and scanned, at a time.
-_GRID_CHUNK = 4096
-# Most (form, grid node) values the p >= 2 grid scan holds at once, and most
-# (row, step) candidates one backtracking evaluation holds.
+# Bytes of the monomial matrix, and of the (forms, p + 1, block) products, of
+# one block of the p >= 2 grid scan; a block is a power of two of lattice
+# points in [_GRID_MIN, _GRID_MAX], the floor overriding the budget (n >= 11).
+_GRID_BYTES = 128 * 1024
+_GRID_MIN, _GRID_MAX = 256, 4096
+# Most (row, step) candidates one backtracking evaluation holds.
 _CHUNK = 1 << 14
 # Step halvings tried after a Newton step that does not improve its row.
 _HALVINGS = 29
@@ -153,11 +155,17 @@ def sphere_grid(n: int, size: int) -> np.ndarray:
     d = 2 ceil(n/2), maps each coordinate pair to two standard normals by
     Box-Muller and normalizes the first n; a point whose n normals have norm
     at most 1e-8 is dropped. No random stream is drawn, so the grid does not
-    depend on the numpy version. The grid is the concatenation of the chunks
-    of `_grid_chunks`, which the p >= 2 extremum scans one at a time.
+    depend on the numpy version. Each node depends on its lattice index
+    alone, so the p >= 2 extremum makes and scans the same nodes a block of
+    lattice points at a time.
     """
-    chunks = [U for _, U in _grid_chunks(n, size)]
-    return np.concatenate(chunks) if chunks else np.empty((0, n))  # size <= 0
+    _check_grid_size(size)
+    return _grid_nodes(n, size)(np.arange(_lattice_size(n, size)))[1]
+
+
+def _check_grid_size(size: int) -> None:
+    if size < 1:
+        raise ValueError("grid_size must be >= 1")
 
 
 def _lattice_size(n: int, size: int) -> int:
@@ -165,14 +173,17 @@ def _lattice_size(n: int, size: int) -> int:
     return size if n == 3 else 2 ** math.ceil(math.log2(max(2, size)))
 
 
-def _grid_nodes(n: int, size: int, i: np.ndarray) -> tuple:
-    """The nodes of `sphere_grid(n, size)` at lattice indices i: the indices
-    kept and their unit nodes, in the order of i."""
+def _grid_nodes(n: int, size: int):
+    """The function taking lattice indices i to the nodes of
+    `sphere_grid(n, size)` there: the indices kept and their unit nodes, in
+    the order of i."""
     if n == 3:
-        z = 1.0 - (2.0 * i + 1.0) / size
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        phi = i * _GOLDEN_ANGLE
-        return i, np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+        def nodes(i):
+            z = 1.0 - (2.0 * i + 1.0) / size
+            r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+            phi = i * _GOLDEN_ANGLE
+            return i, np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+        return nodes
     d = 2 * ((n + 1) // 2)
     # phi_d is the positive root of x^(d+1) = x + 1; the fixed-point map
     # contracts by less than 1/(d+1), so 64 steps reach double precision.
@@ -180,26 +191,23 @@ def _grid_nodes(n: int, size: int, i: np.ndarray) -> tuple:
     for _ in range(64):
         phi_d = (1.0 + phi_d) ** (1.0 / (d + 1))
     alpha = phi_d ** -np.arange(1.0, d + 1)
-    pts = 0.5 + i[:, None] * alpha
-    pts -= np.floor(pts)            # pts % 1.0 exactly (pts > 0), but cheaper
-    # 1 - u lies in (0, 1], so every radius is finite.
-    radius = np.sqrt(-2.0 * np.log1p(-pts[:, 0::2]))
-    angle = 2.0 * math.pi * pts[:, 1::2]
-    z = np.empty_like(pts)
-    z[:, 0::2] = radius * np.cos(angle)
-    z[:, 1::2] = radius * np.sin(angle)
-    z = z[:, :n]
-    norms = np.linalg.norm(z, axis=1)
-    keep = norms > 1e-8
-    return i[keep], z[keep] / norms[keep, None]
 
-
-def _grid_chunks(n: int, size: int):
-    """`sphere_grid(n, size)` in order, as (lattice indices, unit nodes)
-    chunks of at most `_GRID_CHUNK` lattice points."""
-    count = _lattice_size(n, size)
-    for i0 in range(0, count, _GRID_CHUNK):
-        yield _grid_nodes(n, size, np.arange(i0, min(i0 + _GRID_CHUNK, count)))
+    def nodes(i):
+        pts = 0.5 + i[:, None] * alpha
+        pts -= np.floor(pts)            # pts % 1.0 exactly (pts > 0), but cheaper
+        # 1 - u lies in (0, 1], so every radius is finite. The normals
+        # overwrite the lattice points they come from.
+        radius = np.sqrt(-2.0 * np.log1p(-pts[:, 0::2]))
+        angle = 2.0 * math.pi * pts[:, 1::2]
+        np.multiply(radius, np.cos(angle), out=pts[:, 0::2])
+        np.multiply(radius, np.sin(angle, out=angle), out=pts[:, 1::2])
+        z = pts[:, :n]
+        norms = np.linalg.norm(z, axis=1)
+        keep = norms > 1e-8
+        if keep.all():
+            return i, z / norms[:, None]
+        return i[keep], z[keep] / norms[keep, None]
+    return nodes
 
 
 def _hypersurface_extrema(A: np.ndarray, modes: tuple):
@@ -292,10 +300,16 @@ def _backtrack(h, S, tr2, sign, f, ul, step, t):
 def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
     """Grid seed plus safeguarded Riemannian Newton for forms h (B,p,n,n).
 
-    The grid `sphere_grid(n, grid_size)` is made and scanned one chunk of
-    `_grid_chunks` at a time, in batches of at most `_CHUNK` (form, node)
-    pairs, with u^T A u summed over the upper-triangle monomials u_i u_j;
-    each requested mode keeps the lattice index of its own best node (the
+    The grid `sphere_grid(n, grid_size)` is made and scanned one block of
+    lattice points at a time, with u^T A u summed over the n(n+1)/2
+    upper-triangle monomials u_i u_j, made with one broadcast product per
+    row i. A block is the longest power of two of at most `_GRID_MAX` points
+    whose monomial matrix fits `_GRID_BYTES`, but no shorter than
+    `_GRID_MIN`, which bounds the blocks per grid and so their Python
+    overhead; each block is scanned for as many forms at once as keep its
+    (forms, p + 1, block) products within `_GRID_BYTES`. So the scan's
+    memory grows neither with the batch nor with the grid size.
+    Each requested mode keeps the lattice index of its own best node (the
     first least f for "inf", the first least -f for "sup"), and only those
     nodes are made again as Newton seeds. One Newton iteration then runs on
     the sphere over all len(modes) * B (mode, form) rows, each with its own
@@ -319,18 +333,25 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
     iu, ju = np.triu_indices(n)
     coef = (np.concatenate([S[:, None], h], axis=1)[:, :, iu, ju]
             * np.where(iu == ju, 1.0, 2.0))          # (B, p+1, K)
+    block = _GRID_MAX
+    while block > _GRID_MIN and 8 * iu.size * block > _GRID_BYTES:
+        block //= 2
+    bc = max(1, _GRID_BYTES // (8 * (p + 1) * block))
     best = np.full((M, B), np.inf)                    # sign * f at the best node
     arg = np.zeros((M, B), dtype=int)                 # its lattice index
     nodes = 0
-    buf = np.empty((iu.size, min(_GRID_CHUNK, _lattice_size(n, grid_size))))
-    for lattice, U in _grid_chunks(n, grid_size):
-        gc = lattice.size
-        nodes += gc
-        bc = max(1, _CHUNK // gc)
-        Ut = U.T
-        mon = buf[:, :gc]                             # u_i u_j, i <= j
-        for k, (i, j) in enumerate(zip(iu, ju)):
-            np.multiply(Ut[i], Ut[j], out=mon[k])
+    grid = _grid_nodes(n, grid_size)
+    count = _lattice_size(n, grid_size)
+    buf = np.empty((iu.size, min(block, count)))
+    for i0 in range(0, count, block):
+        lattice, U = grid(np.arange(i0, min(i0 + block, count)))
+        nodes += lattice.size
+        Ut = np.ascontiguousarray(U.T)
+        mon = buf[:, :lattice.size]                   # u_i u_j, i <= j
+        k = 0
+        for i in range(n):                            # the rows (i, i..n-1)
+            np.multiply(Ut[i], Ut[i:], out=mon[k:k + n - i])
+            k += n - i
         for b0 in range(0, B, bc):
             q = coef[b0:b0 + bc] @ mon                # u^T S u, u^T h_r u
             f = tr2[b0:b0 + bc, None] - 2.0 * q[:, 0]
@@ -352,7 +373,7 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
     sign = np.repeat(signs, B)
     h, S, tr2 = h[form], S[form], tr2[form]
     f = grid_f.flatten()                             # a copy: polished in place
-    _, u = _grid_nodes(n, grid_size, arg.ravel())
+    _, u = grid(arg.ravel())
     scale = 1.0 + tr2
     eye = np.eye(n)
     halved = np.ldexp(1.0, -np.arange(1, _HALVINGS + 1))   # 2^-1, 2^-2, ...
@@ -406,6 +427,8 @@ def _extrema(h: np.ndarray, modes: tuple, grid_size: int | None) -> list:
     (n, p): a list over `modes` of lists over the forms. p = 1 takes the
     closed form, p >= 2 one `_grid_newton` call that serves every mode."""
     B, p, n, _ = h.shape
+    if grid_size is not None:
+        _check_grid_size(grid_size)
     if p == 1:
         vals, us = _hypersurface_extrema(h[:, 0], modes)
         certs = [[{"method": "closed_form"} for _ in range(B)] for _ in modes]

@@ -217,6 +217,15 @@ class TestNonFiniteInput:
                            "synthetic c_tilde must be a finite number", shown)
 
     @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("key,bad", [("n", -1), ("n", 0), ("p", -2),
+                                         ("p", 0)])
+    def test_dimension_below_one(self, tmp_path, capsys, command, key, bad):
+        # Without the check the shape test of h reported a negative shape.
+        path = write_synthetic(tmp_path, identity_form(**{key: bad, "h": []}))
+        assert_input_error(capsys, main([command, "--synthetic", path]),
+                           f"synthetic {key} must be >= 1, got {bad}")
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
     def test_integral_float_dimension(self, tmp_path, capsys, command):
         path = write_synthetic(tmp_path, identity_form(n=3.0, p=1.0))
         assert main([command, "--synthetic", path]) == 0
@@ -575,6 +584,13 @@ class TestVerify:
         rc = main(["verify", "--synthetic", "/nonexistent/corpus.json"])
         capsys.readouterr()
         assert rc == 2
+
+    def test_empty_corpus_exit_2(self, tmp_path, capsys):
+        # Nothing checked is no pass.
+        path = write_synthetic(tmp_path, [], "corpus.json")
+        rc = main(["verify", "--synthetic", path])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (2, "", "error: synthetic corpus is empty\n")
 
     @pytest.mark.parametrize("corpus", [5, None, True])
     def test_corpus_neither_list_nor_object_exit_2(self, tmp_path, capsys, corpus):

@@ -30,6 +30,7 @@ from casorati.invariants import (
     tau_subspace,
     weyl_norm,
 )
+from casorati import invariants
 from casorati.invariants import _HALVINGS, _backtrack, _grid_newton
 
 
@@ -283,6 +284,23 @@ class TestGridNewton:
         with pytest.raises(ValueError):
             hyperplane_extrema_batch(np.zeros((4, 2, 3, 3)), "max")
 
+    @pytest.mark.parametrize("size", [0, -1, -4096])
+    def test_grid_size_below_one(self, size):
+        # Size 0 gave an infinite extremum at n = 3 and a negative size a
+        # numpy shape error there; n >= 4 scanned 2 nodes for either.
+        match = "grid_size must be >= 1"
+        for n in (3, 4):
+            with pytest.raises(ValueError, match=match):
+                sphere_grid(n, size)
+            h = random_forms(n, 2, 2, seed=n)
+            with pytest.raises(ValueError, match=match):
+                extremize_hyperplane(SecondForm(n, 2, h[0]), "inf", grid_size=size)
+            with pytest.raises(ValueError, match=match):
+                hyperplane_extrema_batch(h, "sup", grid_size=size)
+            with pytest.raises(ValueError, match=match):
+                inequality_reports([(SecondForm(n, 2, x), 0.0) for x in h],
+                                   grid_size=size)
+
     def test_zero_form(self):
         for mode in ("inf", "sup"):
             assert np.array_equal(
@@ -535,18 +553,40 @@ class TestStreamedGrid:
         assert np.array_equal(bits(u_new[moved]), bits(u_seq[moved]))
         assert np.array_equal(bits(f_new[moved]), bits(f_seq[moved]))
 
+    @staticmethod
+    def traced_peak(h):
+        """tracemalloc peak of both modes of `_grid_newton` on h at the
+        default grid of n = 6 and up."""
+        tracemalloc.start()
+        try:
+            _grid_newton(h, 32768, ("inf", "sup"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("count", [8, 64])
     def test_memory_peak(self, count):
         # The whole n = 6 grid at once peaked at 8.1 MB here; streamed, the
         # peak stays near one chunk's arrays and does not grow with a batch.
         h = random_forms(6, 3, count, seed=count)
-        tracemalloc.start()
-        try:
-            _grid_newton(h, 32768, ("inf", "sup"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        assert self.traced_peak(h) < 4 * 2 ** 20
+
+    def test_memory_peak_n64(self):
+        # A block of 4096 nodes held 2080 monomial rows of 4096 doubles at
+        # n = 64 and peaked at 77.5 MB here; sized in bytes, a block holds 256.
+        assert self.traced_peak(random_forms(64, 2, 1, seed=64)) < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("n, p", [(3, 2), (4, 2), (5, 3), (6, 2), (6, 3)])
+    def test_floor_blocks_match_default(self, monkeypatch, n, p):
+        # No budget: every block is the floor's and holds one form at a time.
+        h = roadmap_forms()[n, p]
+        size = min(32768, 4096 * 2 ** (n - 3))
+        want = _grid_newton(h, size, ("inf", "sup"))
+        monkeypatch.setattr(invariants, "_GRID_BYTES", 0)
+        got = _grid_newton(h, size, ("inf", "sup"))
+        for g, w in zip(got[:3], want[:3]):          # values, u, grid values
+            assert np.array_equal(bits(g), bits(w))
+        assert got[3] == want[3]
 
 
 
