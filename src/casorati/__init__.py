@@ -24,9 +24,9 @@ _SUBMODULE_EXPORTS = {
     "invariants": (
         "HyperplaneExtremum", "IdealClassification", "InvariantReport",
         "QPSolution", "casorati_hyperplane", "casorati_total", "classify_ideal",
-        "einstein_residual", "extremize_hyperplane", "inequality_report",
-        "inequality_reports", "oprea_qp", "proof_polynomial", "ricci_values",
-        "tau_from_h", "tau_subspace", "weyl_norm"),
+        "extremize_hyperplane", "inequality_report", "inequality_reports",
+        "oprea_qp", "proof_polynomial", "ricci_values", "tau_from_h",
+        "weyl_norm"),
 }
 # Exported name -> the submodule that defines it.
 _EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items()

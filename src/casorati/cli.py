@@ -84,7 +84,10 @@ def _parse_kv(spec: str, what: str) -> dict:
         if "=" not in item:
             raise ValueError(f"bad {what} entry {item!r}, expected key=value")
         key, val = item.split("=", 1)
-        out[key.strip()] = _finite(float(val), f"{what} {key.strip()!r}")
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"repeated {what} key {key!r}")
+        out[key] = _finite(float(val), f"{what} {key!r}")
     return out
 
 
@@ -266,6 +269,10 @@ def _cmd_report(args) -> int:
                              "is only valid with --synthetic")
         chart = _make_cli_chart(args)
         point_kv = _parse_kv(args.point, "point")
+        unknown = [a for a in point_kv if a not in chart.axis_names]
+        if unknown:
+            raise ValueError(f"unknown point axes {unknown}; "
+                             f"chart axes: {chart.axis_names}")
         try:
             point = np.array([point_kv[a] for a in chart.axis_names])
         except KeyError as exc:
@@ -417,27 +424,29 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for immersed submanifolds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, chart_mode=True):
+    def add_common(sp, synthetic_help=None):
+        """--out and the chart options; with `synthetic_help`, --chart is
+        optional and excludes --synthetic, else it is required."""
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--tol-algebraic", type=float, default=1e-8)
-        sp.add_argument("--tol-geometric", type=float, default=None)
-        if chart_mode:
-            sp.add_argument("--chart", choices=CATALOG_NAMES, default=None)
-            sp.add_argument("--param", default=None,
-                            help="chart parameters, e.g. R=1,n=3")
-            sp.add_argument("--jet-mode", choices=("analytic", "numeric"),
-                            default="analytic")
-            sp.add_argument("--margin", type=float, default=1e-3)
+        if synthetic_help is None:
+            sp.add_argument("--chart", choices=CATALOG_NAMES, required=True)
+        else:
+            source = sp.add_mutually_exclusive_group()
+            source.add_argument("--chart", choices=CATALOG_NAMES, default=None)
+            source.add_argument("--synthetic", default=None, help=synthetic_help)
+        sp.add_argument("--param", default=None,
+                        help="chart parameters, e.g. R=1,n=3")
+        sp.add_argument("--jet-mode", choices=("analytic", "numeric"),
+                        default="analytic")
+        sp.add_argument("--margin", type=float, default=1e-3)
 
     sp = sub.add_parser("catalog", help="list catalog charts")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_catalog)
 
     sp = sub.add_parser("report", help="invariant report at one point")
-    add_common(sp)
+    add_common(sp, synthetic_help="JSON file {n, p, c_tilde, h}")
     sp.add_argument("--point", default=None, help="e.g. t=0.8,u=0.3,v=1.1")
-    sp.add_argument("--synthetic", default=None,
-                    help="JSON file {n, p, c_tilde, h}")
     sp.add_argument("--c-tilde", type=float, default=None,
                     help="ambient curvature (synthetic mode only)")
     sp.set_defaults(func=_cmd_report)
@@ -450,10 +459,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("verify", help="batch inequality + Gauss checks")
-    add_common(sp)
+    add_common(sp, synthetic_help="JSON corpus: list of {n, p, c_tilde, h}")
     sp.add_argument("--grid", default=None)
-    sp.add_argument("--synthetic", default=None,
-                    help="JSON corpus: list of {n, p, c_tilde, h}")
+    sp.add_argument("--tol-algebraic", type=float, default=1e-8)
+    sp.add_argument("--tol-geometric", type=float, default=None)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("qp", help="trace-constrained quadratic minimization")

@@ -78,7 +78,6 @@ class FramedPoint:
     x: np.ndarray
     tangent_frame: np.ndarray  # (n, N) rows e_1..e_n
     normal_frame: np.ndarray   # (p, N) rows e_{n+1}..e_{n+p}
-    induced_metric: np.ndarray
     condition: float
     jet: Jet2 = field(repr=False)
     coord_to_frame: np.ndarray = field(repr=False)  # B with e_i = sum_a B[a,i] d_a
@@ -103,9 +102,8 @@ def frame_at(chart: Chart, x) -> FramedPoint:
     normal = Q[:, n:].T
     Rtri = (R[:n, :n].T * sgn[:n]).T
     B = np.linalg.solve(Rtri, np.eye(n))
-    g = A.T @ A
-    cond = float(np.linalg.cond(g))
-    return FramedPoint(x, tangent, normal, g, cond, jet, B)
+    cond = float(np.linalg.cond(A.T @ A))
+    return FramedPoint(x, tangent, normal, cond, jet, B)
 
 
 def second_form(chart: Chart, x, frame: FramedPoint) -> SecondForm:

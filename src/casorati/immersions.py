@@ -362,14 +362,20 @@ def make_chart(name: str, params: dict | None = None, *,
                jet_mode: str = "analytic", margin: float = 1e-3) -> Chart:
     """Build a catalog chart in the given jet mode. `margin` (>= 0) is how far
     the domain stays from the coordinate singularities; raises ValueError for
-    unknown names, modes, bad params or a margin that leaves an axis empty."""
+    unknown names, modes or params, bad params or a margin that leaves an
+    axis empty."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown chart {name!r}; catalog: {CATALOG_NAMES}")
     if jet_mode not in ("analytic", "numeric"):
         raise ValueError(f"jet_mode must be 'analytic' or 'numeric', got {jet_mode!r}")
     if not margin >= 0.0:
         raise ValueError(f"margin must be >= 0, got {margin}")
-    chart = _BUILDERS[name](params or {}, margin)
+    params = params or {}
+    chart = _BUILDERS[name](params, margin)
+    unknown = sorted(set(params) - set(chart.params))
+    if unknown:
+        raise ValueError(f"unknown parameters {unknown} for chart {name!r}; "
+                         f"parameters: {sorted(chart.params)}")
     for axis, (lo, hi) in zip(chart.axis_names, chart.domain):
         if not lo < hi:
             raise ValueError(f"margin {margin} leaves axis {axis!r} of "

@@ -4,7 +4,7 @@ Everything here is a pure function of the second fundamental form (and the
 ambient curvature c_tilde): Casorati curvatures, hyperplane extremization,
 delta-curvatures, the nonnegative proof polynomials behind the two
 curvature inequalities, the trace-constrained quadratic minimization,
-Ricci/Einstein/Weyl checks, and the equality-case classification.
+Ricci/Weyl checks, and the equality-case classification.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ __all__ = [
     "hyperplane_extrema_batch",
     "sphere_grid",
     "tau_from_h",
-    "tau_subspace",
     "proof_polynomial",
     "oprea_qp",
     "qp_objective",
     "qp_hessian",
     "ricci_values",
-    "einstein_residual",
     "weyl_norm",
     "classify_ideal",
     "inequality_report",
@@ -164,6 +162,9 @@ def sphere_grid(n: int, size: int) -> np.ndarray:
 
 
 def _check_grid_size(size: int) -> None:
+    # A float would make a smaller n = 3 lattice and round up for n >= 4.
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+        raise ValueError(f"grid_size must be an integer, got {size!r}")
     if size < 1:
         raise ValueError("grid_size must be >= 1")
 
@@ -422,7 +423,7 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
     return f.reshape(M, B), u.reshape(M, B, n), grid_f, nodes
 
 
-def _extrema(h: np.ndarray, modes: tuple, grid_size: int | None) -> list:
+def _extrema(h: np.ndarray, modes: tuple, grid_size: int | None = None) -> list:
     """`HyperplaneExtremum`s of forms h (B, p, n, n), n >= 3, all of one
     (n, p): a list over `modes` of lists over the forms. p = 1 takes the
     closed form, p >= 2 one `_grid_newton` call that serves every mode."""
@@ -492,25 +493,6 @@ def tau_from_h(h: SecondForm, c_tilde: float = 0.0) -> float:
     H2 = float(np.sum(traces ** 2)) / n ** 2
     C = casorati_total(h)
     return 0.5 * (n * n * H2 - n * C + n * (n - 1) * c_tilde)
-
-
-def tau_subspace(h: SecondForm, L, c_tilde: float = 0.0) -> float:
-    """Scalar curvature of the subspace spanned by the orthonormal rows of L."""
-    L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[1] != h.n:
-        raise ValueError(f"L must be an (l, {h.n}) array of basis rows")
-    l = L.shape[0]
-    if not (2 <= l <= h.n):
-        raise ValueError("subspace dimension must satisfy 2 <= l <= n")
-    if np.abs(L @ L.T - np.eye(l)).max() > 1e-8:
-        raise ValueError("basis rows must be orthonormal")
-    hb = np.einsum("mi,rij,nj->rmn", L, h.h, L)
-    diag = np.einsum("rmm->rm", hb)
-    K = (c_tilde
-         + np.einsum("rm,rn->mn", diag, diag)
-         - np.einsum("rmn,rmn->mn", hb, hb))
-    iu = np.triu_indices(l, k=1)
-    return float(np.sum(K[iu]))
 
 
 # ---------------------------------------------------------------------------
@@ -612,19 +594,13 @@ def oprea_qp(variant: str, n: int, k: float) -> QPSolution:
 
 
 # ---------------------------------------------------------------------------
-# Ricci, Einstein, Weyl
+# Ricci, Weyl
 # ---------------------------------------------------------------------------
 
 def ricci_values(h: SecondForm, c_tilde: float = 0.0) -> np.ndarray:
     """Frame Ricci curvatures Ric(e_i) = sum_{j != i} K(e_i ^ e_j)."""
     R = _gauss_riemann(h, c_tilde)
     return np.einsum("ijij->i", R) - np.einsum("iiii->i", R)
-
-
-def einstein_residual(h: SecondForm, c_tilde: float = 0.0) -> float:
-    """Spread max - min of the frame Ricci values; 0 on Einstein inputs."""
-    ric = ricci_values(h, c_tilde)
-    return float(ric.max() - ric.min())
 
 
 def weyl_norm(h: SecondForm, c_tilde: float = 0.0) -> float:
@@ -725,8 +701,7 @@ def _multiplicities(eigs: np.ndarray, atol: float) -> list:
     return counts
 
 
-def inequality_reports(items, *, classify_tol: float = 1e-8,
-                       grid_size: int | None = None) -> list:
+def inequality_reports(items, *, classify_tol: float = 1e-8) -> list:
     """`InvariantReport`s of `(SecondForm, c_tilde)` items, in input order.
 
     The forms are grouped by (n, p), and each group's extrema come from one
@@ -745,7 +720,7 @@ def inequality_reports(items, *, classify_tol: float = 1e-8,
     # a mixed n = 3..6 corpus from 43.0 to 40.0 MB (glibc malloc).
     for _, idx in sorted(groups.items(), reverse=True):
         infs, sups = _extrema(np.array([items[i][0].h for i in idx]),
-                              ("inf", "sup"), grid_size)
+                              ("inf", "sup"))
         for i, infCL, supCL in zip(idx, infs, sups):
             h, c_tilde = items[i]
             n = h.n
@@ -767,8 +742,6 @@ def inequality_reports(items, *, classify_tol: float = 1e-8,
 
 
 def inequality_report(h: SecondForm, c_tilde: float = 0.0, *,
-                      classify_tol: float = 1e-8,
-                      grid_size: int | None = None) -> InvariantReport:
+                      classify_tol: float = 1e-8) -> InvariantReport:
     """All scalar invariants plus the slacks of both curvature inequalities."""
-    return inequality_reports([(h, c_tilde)], classify_tol=classify_tol,
-                              grid_size=grid_size)[0]
+    return inequality_reports([(h, c_tilde)], classify_tol=classify_tol)[0]

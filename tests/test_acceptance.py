@@ -189,8 +189,7 @@ def test_05_rotational_ideal_hypersurface():
             sf = second_form(chart, x, frame_at(chart, x))
             eigs = np.sort(np.abs(np.linalg.eigvalsh(sf.h[0])))
             worst_eig_a = max(worst_eig_a, float(np.abs(eigs - target).max()))
-            rep = inequality_report(sf, 0.0, classify_tol=1e-6,
-                                    grid_size=512)
+            rep = inequality_report(sf, 0.0, classify_tol=1e-6)
             worst_slack = max(worst_slack, rep.slack41)
             kinds_ok &= rep.classification.kind == "Ideal41"
             samples += 1

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface: output formats, exit
 codes, determinism, and the JSON round trip."""
 
+import argparse
 import csv
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casorati.cli import MAX_QP_N, MAX_SYNTHETIC_N, main
+from casorati.cli import MAX_QP_N, MAX_SYNTHETIC_N, _build_parser, main
 from casorati.geometry import SecondForm, frame_at, second_form
 from casorati.immersions import MAX_SPHERE_N, make_chart
 from casorati.invariants import inequality_report
@@ -267,6 +268,69 @@ class TestChartInput:
                    "--grid", "t=0.5:3:4,u=0.3,v=1"])
         assert_input_error(capsys, rc, "margin", "empty")
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("args,words", [
+        # Lower-case r was ignored: the unit sphere was reported, C = 1.
+        (["report", "--chart", "hypersphere", "--param", "r=2,n=3",
+          "--point", SPHERE_POINT], ["unknown parameters", "'r'"]),
+        # R1 was ignored: the Gauss check ran on r1 = 1.
+        (["verify", "--chart", "flat_torus", "--param", "R1=3",
+          "--grid", "th1=0.5:2:3,th2=1"], ["unknown parameters", "'R1'"]),
+        # phi9 was dropped and the point reported without it.
+        (["report", "--chart", "hypersphere", "--param", "R=1,n=3",
+          "--point", SPHERE_POINT + ",phi9=4"], ["unknown point axes", "'phi9'"]),
+    ], ids=["sphere-parameter", "torus-parameter", "point-axis"])
+    def test_unknown_key(self, capsys, args, words):
+        assert_input_error(capsys, main(args), *words)
+
+    @pytest.mark.parametrize("param,point,key", [
+        ("R=1,R=2,n=3", SPHERE_POINT, "'R'"),
+        ("R=1,n=3", SPHERE_POINT + ",phi1=0.5", "'phi1'"),
+    ], ids=["param", "point"])
+    def test_repeated_key(self, capsys, param, point, key):
+        # The last value was kept.
+        rc = main(["report", "--chart", "hypersphere", "--param", param,
+                   "--point", point])
+        assert_input_error(capsys, rc, "repeated", key)
+
+
+class TestParser:
+    def test_options_per_command(self):
+        parser = _build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        options = {name: sorted(s for a in sp._actions for s in a.option_strings
+                                if s not in ("-h", "--help"))
+                   for name, sp in commands.items()}
+        chart = ["--chart", "--jet-mode", "--margin", "--out", "--param"]
+        assert options == {
+            "catalog": ["--out"],
+            "report": sorted(chart + ["--c-tilde", "--point", "--synthetic"]),
+            "sweep": sorted(chart + ["--format", "--grid"]),
+            "verify": sorted(chart + ["--grid", "--synthetic", "--tol-algebraic",
+                                      "--tol-geometric"]),
+            "qp": ["--k", "--n", "--out", "--variant"],
+        }
+
+    @pytest.mark.parametrize("command,rest", [
+        ("report", ["--point", "phi1=0.9,phi2=1.2,phi3=2.0"]),
+        ("verify", ["--grid", "phi1=0.9,phi2=1.2,phi3=2.0"]),
+    ])
+    def test_synthetic_excludes_chart(self, tmp_path, capsys, command, rest):
+        # --synthetic won silently: the chart and its point were ignored.
+        path = write_synthetic(tmp_path, identity_form())
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--synthetic", path, "--chart", "hypersphere",
+                  "--param", "R=1,n=3", *rest])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--chart" in err and "--synthetic" in err
+
+    def test_sweep_needs_chart(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--grid", "x=0:0.5:3,y=0"])
+        assert exc.value.code == 2
+        assert "--chart" in capsys.readouterr().err
 
 
 class TestCatalog:

@@ -50,6 +50,10 @@ class TestCatalog:
         with pytest.raises(ValueError):
             make_chart("chen_ideal", {"a": 0.0})
 
+    def test_unknown_params_named(self):
+        with pytest.raises(ValueError, match=r"\['R', 'a'\].*\['c'\]"):
+            make_chart("paraboloid", {"c": 1.0, "a": 2.0, "R": 3.0})
+
     def test_bad_jet_mode(self):
         with pytest.raises(ValueError):
             make_chart("paraboloid", jet_mode="symbolic")
