@@ -76,7 +76,9 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _parse_kv(spec: str, what: str) -> dict:
+def _split_kv(spec: str, what: str) -> dict:
+    """'key=value,...' as {key: value text}; an entry without '=' or a
+    repeated key is an error."""
     out = {}
     if not spec:
         return out
@@ -87,19 +89,20 @@ def _parse_kv(spec: str, what: str) -> dict:
         key = key.strip()
         if key in out:
             raise ValueError(f"repeated {what} key {key!r}")
-        out[key] = _finite(float(val), f"{what} {key!r}")
+        out[key] = val
     return out
+
+
+def _parse_kv(spec: str, what: str) -> dict:
+    return {key: _finite(float(val), f"{what} {key!r}")
+            for key, val in _split_kv(spec, what).items()}
 
 
 def _parse_grid(spec: str, axis_names: tuple) -> list:
     """Grid spec 'axis=lo:hi:count' or 'axis=value'; returns points in
     deterministic row-major order over the chart's axis order."""
     per_axis = {}  # axis -> (point count, function making its values)
-    for item in spec.split(","):
-        if "=" not in item:
-            raise ValueError(f"bad grid entry {item!r}")
-        key, val = item.split("=", 1)
-        key = key.strip()
+    for key, val in _split_kv(spec, "grid").items():
         if key not in axis_names:
             raise ValueError(f"unknown grid axis {key!r}; chart axes: {axis_names}")
         if ":" in val:
@@ -224,8 +227,19 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _make_cli_chart(args):
     params = _parse_kv(args.param or "", "param")
-    return make_chart(args.chart, params, jet_mode=args.jet_mode,
-                      margin=args.margin)
+    return make_chart(args.chart, params, jet_mode=args.jet_mode or "analytic",
+                      margin=1e-3 if args.margin is None else args.margin)
+
+
+def _reject_chart_flags(args) -> None:
+    """Synthetic input has no chart: a chart flag given with it is an error,
+    not silently ignored."""
+    given = [f"--{name.replace('_', '-')}" for name in
+             ("param", "point", "grid", "jet_mode", "margin", "tol_geometric")
+             if getattr(args, name, None) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} only apply to --chart input, "
+                         f"not --synthetic")
 
 
 def _classify_tol_for(jet_mode: str | None) -> float:
@@ -258,6 +272,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_report(args) -> int:
     if args.synthetic:
+        _reject_chart_flags(args)
         sf, c_file = _load_synthetic(args.synthetic)
         c_tilde = args.c_tilde if args.c_tilde is not None else c_file
         cond, jet_mode = None, None
@@ -332,6 +347,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     skipped = Counter()  # reason -> points of the chart grid not checked
     if args.synthetic:
+        _reject_chart_flags(args)
         corpus = json.loads(Path(args.synthetic).read_text(encoding="utf-8"))
         if isinstance(corpus, dict):
             corpus = [corpus]
@@ -436,9 +452,11 @@ def _build_parser() -> argparse.ArgumentParser:
             source.add_argument("--synthetic", default=None, help=synthetic_help)
         sp.add_argument("--param", default=None,
                         help="chart parameters, e.g. R=1,n=3")
+        # None, left to `_make_cli_chart`, marks a flag as given.
         sp.add_argument("--jet-mode", choices=("analytic", "numeric"),
-                        default="analytic")
-        sp.add_argument("--margin", type=float, default=1e-3)
+                        default=None, help="default analytic")
+        sp.add_argument("--margin", type=float, default=None,
+                        help="default 1e-3")
 
     sp = sub.add_parser("catalog", help="list catalog charts")
     sp.add_argument("--out", default=None)

@@ -17,6 +17,8 @@ from .immersions import (
     Chart,
     IllConditionedPointError,
     Jet2,
+    _richardson,
+    _stencil,
     domain_check,
     first_partials,
     jet2,
@@ -117,29 +119,6 @@ def second_form(chart: Chart, x, frame: FramedPoint) -> SecondForm:
     return SecondForm(chart.n, chart.p, h)
 
 
-def _stencil(y: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Centres y of shape (..., n), then y +- h_a e_a and y +- h_a/2 e_a for
-    each axis a: shape (..., 1 + 4n, n)."""
-    eye = np.eye(y.shape[-1])
-    full = h[..., :, None] * eye
-    half = (0.5 * h)[..., :, None] * eye
-    y = y[..., None, :]
-    moved = np.stack([y + full, y - full, y + half, y - half], axis=-2)
-    return np.concatenate([y, moved.reshape(moved.shape[:-3] + (-1, y.shape[-1]))],
-                          axis=-2)
-
-
-def _richardson(f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """d_a f at the centres of `_stencil`s by Richardson-extrapolated central
-    differences: f (C, 1 + 4n, *s) holds values at the stencil points, h
-    (C, n) the steps; the result has shape (C, n, *s)."""
-    f = f[:, 1:].reshape(f.shape[:1] + (-1, 4) + f.shape[2:])
-    h = h.reshape(h.shape + (1,) * (f.ndim - 3))
-    D1 = (f[:, :, 0] - f[:, :, 1]) / (2.0 * h)
-    D2 = (f[:, :, 2] - f[:, :, 3]) / h
-    return (4.0 * D2 - D1) / 3.0
-
-
 def intrinsic_riemann(chart: Chart, x) -> RiemannTensor:
     """Independent intrinsic route: Riemann tensor of the induced metric via
     finite-differenced Christoffel symbols, converted to the orthonormal
@@ -157,16 +136,13 @@ def intrinsic_riemann(chart: Chart, x) -> RiemannTensor:
 
     hs = step * np.maximum(1.0, np.abs(x))
     # Every stencil point (including the nested metric stencils) must stay
-    # strictly inside the domain.
+    # strictly inside the domain; it is a box, so checking the moved points
+    # of one stencil of steps `pad` checks them all.
     pad = hs + 2.0 * gamma_step * np.maximum(1.0, np.abs(x))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = 1.0
-        for s in (+1.0, -1.0):
-            if not domain_check(chart, x + s * pad[a] * e).admissible:
-                raise BoundaryProximityError(
-                    f"point {x.tolist()} too close to the boundary of chart "
-                    f"{chart.name!r} for the intrinsic curvature stencil")
+    if not all(domain_check(chart, y).admissible for y in _stencil(x, pad)[1:]):
+        raise BoundaryProximityError(
+            f"point {x.tolist()} too close to the boundary of chart "
+            f"{chart.name!r} for the intrinsic curvature stencil")
 
     centres = _stencil(x, hs)
     gsteps = gamma_step * np.maximum(1.0, np.abs(centres))
@@ -176,11 +152,11 @@ def intrinsic_riemann(chart: Chart, x) -> RiemannTensor:
 
     # Gamma^k_ij at every centre: dg[c, a, j, l] = d_a g_jl,
     # T[c, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij, gamma[c, k, i, j].
-    dg = _richardson(g, gsteps)
+    dg = _richardson(g[:, 1:], gsteps)
     T = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
     gamma = 0.5 * np.einsum("ckl,cijl->ckij", np.linalg.inv(g[:, 0]), T)
     gamma0 = gamma[0]
-    dgamma = _richardson(gamma[None], hs[None])[0]
+    dgamma = _richardson(gamma[1:], hs)
 
     # R(d_a, d_b) d_c = Rup[d, a, b, c] d_d
     rup = (np.einsum("adbc->dabc", dgamma)

@@ -5,6 +5,11 @@ fixed when it is built: an analytic chart takes its first partials and 2-jets
 in closed form, a numeric one by central differences of the position with one
 Richardson extrapolation level. `first_partials`, `jet2` and `domain_check`
 read the chart and do not branch on its mode or its name.
+
+One stencil kernel serves numeric jets and the intrinsic curvature oracle of
+`casorati.geometry`: `_stencil` builds the centres and their moved points,
+`_richardson` differences the values at the moved points. A numeric jet, and
+numeric first partials at any number of points, is one `position` call.
 """
 
 from __future__ import annotations
@@ -416,59 +421,75 @@ def _per_point(fn: Callable) -> Callable:
     return lifted
 
 
+def _stencil(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Centres y of shape (..., n), then y +- h_a e_a and y +- h_a/2 e_a for
+    each axis a: shape (..., 1 + 4n, n)."""
+    eye = np.eye(y.shape[-1])
+    full = h[..., :, None] * eye
+    half = (0.5 * h)[..., :, None] * eye
+    y = y[..., None, :]
+    moved = np.stack([y + full, y - full, y + half, y - half], axis=-2)
+    return np.concatenate([y, moved.reshape(moved.shape[:-3] + (-1, y.shape[-1]))],
+                          axis=-2)
+
+
+def _richardson(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """d_a f at the centres of `_stencil`s by Richardson-extrapolated central
+    differences: f (..., 4n, *s) holds the values at the moved points of the
+    stencils, h (..., n) their steps; the result has shape (..., n, *s)."""
+    k = h.ndim - 1
+    f = np.moveaxis(f.reshape(f.shape[:k] + (-1, 4) + f.shape[k + 1:]), k + 1, 0)
+    h = h.reshape(h.shape + (1,) * (f.ndim - 1 - h.ndim))
+    D1 = (f[0] - f[1]) / (2.0 * h)
+    D2 = (f[2] - f[3]) / h
+    return (4.0 * D2 - D1) / 3.0
+
+
 def _numeric_d1(position: Callable, x: np.ndarray) -> np.ndarray:
     """First partials at a point x (n,) or points x (G, n), shape (n, N) or
-    (G, n, N): O(h^4) via one Richardson level on central differences."""
-    h1 = np.cbrt(_EPS) * np.maximum(1.0, np.abs(x))
-
-    def moved(j: int, d: np.ndarray) -> np.ndarray:
-        y = x.copy()
-        y[..., j] += d
-        return np.asarray(position(y), dtype=float)
-
-    rows = []
-    for j in range(x.shape[-1]):
-        h = h1[..., j]
-        hc = h[..., None]
-        D_h = (moved(j, h) - moved(j, -h)) / (2.0 * hc)
-        D_h2 = (moved(j, 0.5 * h) - moved(j, -0.5 * h)) / hc
-        rows.append((4.0 * D_h2 - D_h) / 3.0)
-    return np.stack(rows, axis=-2)
+    (G, n, N): O(h^4) via `_richardson`, from one `position` call over the
+    moved points of the stencils."""
+    h = np.cbrt(_EPS) * np.maximum(1.0, np.abs(x))
+    moved = _stencil(x, h)[..., 1:, :]
+    f = np.asarray(position(moved.reshape(-1, x.shape[-1])), dtype=float)
+    return _richardson(f.reshape(moved.shape[:-1] + f.shape[-1:]), h)
 
 
 def _numeric_jet(position: Callable, x: np.ndarray) -> Jet2:
-    """2-jet at one point x: first partials from `_numeric_d1`, position and
-    second partials from one `position` call over x and its shifted points."""
+    """2-jet at one point x from one `position` call over three point sets:
+    the moved points of the `_numeric_d1` stencil, the stencil of the second
+    partials (its centre gives the position) and, per axis pair j < i, the
+    8 points x + s(+-h_j e_j +- h_i e_i) with s = 1/2, 1."""
     n = x.shape[0]
+    h1 = np.cbrt(_EPS) * np.maximum(1.0, np.abs(x))
     # Second partials use a larger step: the cube-root step leaves the
     # rounding term eps/h^2 at ~1e-5, far too coarse for the 1e-5 jet
     # agreement contract.
     h = _EPS ** 0.25 * np.maximum(1.0, np.abs(x))
-    # (axis, offset) moves of each point after x: x +- h_j/2 e_j and
-    # x +- h_j e_j per axis, then x + s(+-h_j e_j +- h_i e_i) per pair j < i
-    # and s = 1/2, 1.
-    pairs = [(j, i) for j in range(n) for i in range(j + 1, n)]
-    moves = [[(j, d)] for j in range(n) for d in (0.5 * h[j], -0.5 * h[j], h[j], -h[j])]
-    moves += [[(j, a * s * h[j]), (i, b * s * h[i])] for j, i in pairs
-              for s in (0.5, 1.0)
-              for a, b in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
-    y = np.repeat(x[None], 1 + len(moves), axis=0)
-    for row, deltas in enumerate(moves, 1):
-        for j, d in deltas:
-            y[row, j] += d
-    f = np.asarray(position(y), dtype=float)
+    # Cross points (8, pairs, n): s = 1/2, 1 outer, then (a, b) = (1, 1),
+    # (1, -1), (-1, 1), (-1, -1).
+    J, I = np.triu_indices(n, 1)
+    sa, sb = np.array([(s * a, s * b) for s in (0.5, 1.0)
+                       for a in (1.0, -1.0) for b in (1.0, -1.0)]).T
+    cross = np.tile(x, (8, len(J), 1))
+    cross[:, np.arange(len(J)), J] += sa[:, None] * h[J]
+    cross[:, np.arange(len(J)), I] += sb[:, None] * h[I]
+    f = np.asarray(position(np.concatenate(
+        [_stencil(x, h), _stencil(x, h1)[1:], cross.reshape(-1, n)])), dtype=float)
+    f0, pure = f[0], f[1:1 + 4 * n].reshape(n, 4, -1)
+    fc = f[1 + 8 * n:].reshape(8, len(J), -1)
 
     # Each entry: Richardson on the half-step and the full-step difference.
     d2 = np.empty((n, n, f.shape[1]))
     for j in range(n):
-        pure = [(f[r] - 2.0 * f[0] + f[r + 1]) / d ** 2
-                for r, d in ((1 + 4 * j, 0.5 * h[j]), (3 + 4 * j, h[j]))]
-        d2[j, j] = (4.0 * pure[0] - pure[1]) / 3.0
-    for q, (j, i) in enumerate(pairs):
-        cross = [(f[r] - f[r + 1] - f[r + 2] + f[r + 3]) / (4.0 * s * s * h[j] * h[i])
-                 for r, s in ((1 + 4 * n + 8 * q, 0.5), (5 + 4 * n + 8 * q, 1.0))]
-        d2[j, i] = d2[i, j] = (4.0 * cross[0] - cross[1]) / 3.0
-    return Jet2(f[0], _numeric_d1(position, x), d2)
+        D = [(pure[j, r] - 2.0 * f0 + pure[j, r + 1]) / d ** 2
+             for r, d in ((2, 0.5 * h[j]), (0, h[j]))]
+        d2[j, j] = (4.0 * D[0] - D[1]) / 3.0
+    for q, (j, i) in enumerate(zip(J, I)):
+        D = [(fc[r, q] - fc[r + 1, q] - fc[r + 2, q] + fc[r + 3, q])
+             / (4.0 * s * s * h[j] * h[i]) for r, s in ((0, 0.5), (4, 1.0))]
+        d2[j, i] = d2[i, j] = (4.0 * D[0] - D[1]) / 3.0
+    return Jet2(f0, _richardson(f[1 + 4 * n:1 + 8 * n], h1), d2)
 
 
 def first_partials(chart: Chart, x) -> np.ndarray:

@@ -466,14 +466,14 @@ def extremize_hyperplane(h: SecondForm, mode: str, *,
 
 
 def hyperplane_extrema_batch(h: np.ndarray, mode: str, *,
-                             grid_size: int = 512) -> np.ndarray:
+                             grid_size: int | None = None) -> np.ndarray:
     """Hyperplane extrema C(u-perp) for a batch of forms h of shape (B,p,n,n).
 
     p = 1 is exact (the closed form of `_hypersurface_extrema`). For p >= 2
-    this is the grid+Newton path of `extremize_hyperplane`, run on the whole
-    batch; at equal `grid_size` each value equals that function's, bit for
-    bit, and the values are conservative bounds in the sense documented
-    there.
+    this is the grid+Newton path of `extremize_hyperplane`, with the same
+    default grid, run on the whole batch; each value equals that function's,
+    bit for bit, and the values are conservative bounds in the sense
+    documented there.
     """
     h = np.asarray(h, dtype=float)
     _, _, n, _ = h.shape

@@ -105,8 +105,8 @@ def test_02_inequality_slacks_nonnegative(corpus):
     count = 0
     for (n, p), (h, _) in corpus.items():
         C, n2H2, _ = batch_scalars(h)
-        inf_cl = hyperplane_extrema_batch(h, "inf")
-        sup_cl = hyperplane_extrema_batch(h, "sup")
+        inf_cl = hyperplane_extrema_batch(h, "inf", grid_size=512)
+        sup_cl = hyperplane_extrema_batch(h, "sup", grid_size=512)
         tau = 0.5 * (n2H2 - n * C)
         rho = 2.0 * tau / (n * (n - 1.0))
         delta_hat = 2.0 * C - (2.0 * n - 1.0) / (2.0 * n) * sup_cl

@@ -283,15 +283,17 @@ class TestChartInput:
     def test_unknown_key(self, capsys, args, words):
         assert_input_error(capsys, main(args), *words)
 
-    @pytest.mark.parametrize("param,point,key", [
-        ("R=1,R=2,n=3", SPHERE_POINT, "'R'"),
-        ("R=1,n=3", SPHERE_POINT + ",phi1=0.5", "'phi1'"),
-    ], ids=["param", "point"])
-    def test_repeated_key(self, capsys, param, point, key):
-        # The last value was kept.
-        rc = main(["report", "--chart", "hypersphere", "--param", param,
-                   "--point", point])
-        assert_input_error(capsys, rc, "repeated", key)
+    @pytest.mark.parametrize("args,key", [
+        (["report", "--chart", "hypersphere", "--param", "R=1,R=2,n=3",
+          "--point", SPHERE_POINT], "'R'"),
+        (["report", "--chart", "hypersphere", "--param", "R=1,n=3",
+          "--point", SPHERE_POINT + ",phi1=0.5"], "'phi1'"),
+        (["sweep", "--chart", "chen_ideal",
+          "--grid", "t=0.5:1.0:2,u=0.3,v=1.1,t=2.0"], "'t'"),
+    ], ids=["param", "point", "grid"])
+    def test_repeated_key(self, capsys, args, key):
+        # The last value was kept: the sweep ran over t = 2.0 alone.
+        assert_input_error(capsys, main(args), "repeated", key)
 
 
 class TestParser:
@@ -325,6 +327,22 @@ class TestParser:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--chart" in err and "--synthetic" in err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("report", ["--param", "R=2", "--point", "phi1=1"]),
+        ("verify", ["--grid", "x=1", "--tol-geometric", "0",
+                    "--jet-mode", "numeric", "--margin", "0.4"]),
+        ("verify", ["--margin", "1e-3"]),
+        ("report", ["--jet-mode", "analytic"]),
+    ], ids=["report", "verify", "default-margin", "default-jet-mode"])
+    def test_synthetic_rejects_chart_flags(self, tmp_path, capsys, command,
+                                           flags):
+        # Each flag was ignored and the form reported with exit 0, even
+        # when it spelled the default.
+        path = write_synthetic(tmp_path, identity_form())
+        given = [f for f in flags if f.startswith("--")]
+        assert_input_error(capsys, main([command, "--synthetic", path, *flags]),
+                           "--synthetic", *given)
 
     def test_sweep_needs_chart(self, capsys):
         with pytest.raises(SystemExit) as exc:

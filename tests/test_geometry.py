@@ -19,7 +19,12 @@ from casorati.geometry import (
     intrinsic_tau,
     second_form,
 )
-from casorati.immersions import BoundaryProximityError, first_partials, make_chart
+from casorati.immersions import (
+    BoundaryProximityError,
+    domain_check,
+    first_partials,
+    make_chart,
+)
 from casorati.invariants import tau_from_h
 
 HALF = 1.0 / math.sqrt(2.0)
@@ -223,9 +228,28 @@ class TestIntrinsicCurvature:
         assert intrinsic_tau(R) == pytest.approx(3.0, abs=1e-5)
 
     def test_boundary_stencil_guard(self):
-        c = make_chart("chen_ideal", {"a": 1.0})
-        with pytest.raises(BoundaryProximityError):
-            intrinsic_riemann(c, [0.0015, 0.3, 1.1])
+        # Admissible points whose stencil leaves the domain. The stencil
+        # grows with max(1, |x|) per axis, so the high ends of t and phi2
+        # need a wider strip than t near 0; numeric jets, with their larger
+        # steps, a wider one still.
+        t_hi = make_chart("chen_ideal", {"a": 1.0}).domain[0][1]
+        cases = [
+            ("chen_ideal", {"a": 1.0}, [0.0015, 0.3, 1.1], "analytic"),
+            ("chen_ideal", {"a": 1.0}, [t_hi - 0.004, 0.3, 1.1], "analytic"),
+            ("hypersphere", {"R": 1.0, "n": 3}, [0.9, math.pi - 0.005, 2.0],
+             "analytic"),
+            ("hypersphere", {"R": 1.0, "n": 3}, [0.9, math.pi - 0.1, 2.0],
+             "numeric"),
+        ]
+        for name, params, x, mode in cases:
+            c = make_chart(name, params, jet_mode=mode)
+            assert domain_check(c, x).admissible
+            with pytest.raises(BoundaryProximityError):
+                intrinsic_riemann(c, x)
+        # The analytic stencil still fits where the numeric one does not.
+        c = make_chart("hypersphere", {"R": 1.0, "n": 3})
+        assert np.isfinite(intrinsic_riemann(c, [0.9, math.pi - 0.1, 2.0])
+                           .components).all()
 
 
 class TestBatchedOracle:

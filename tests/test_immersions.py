@@ -10,6 +10,8 @@ from casorati.immersions import (
     CATALOG_NAMES,
     DomainError,
     IllConditionedPointError,
+    _numeric_d1,
+    _numeric_jet,
     domain_check,
     first_partials,
     jet2,
@@ -234,6 +236,25 @@ class TestChartInterface:
             for got, want in ((jet.position, f0), (jet.d2, d2)):
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("name,params", ALL_CHARTS)
+    def test_numeric_routines_call_position_once(self, name, params):
+        # The stencils of a numeric jet or of first partials over G points
+        # are one batch: 1 + 4n and 4n `position` calls before.
+        c = make_chart(name, params, jet_mode="numeric")
+        calls = []
+
+        def position(y):
+            calls.append(y.shape)
+            return c._position(y)
+
+        n, X = c.n, interior_points(c, 5, 8)
+        _numeric_jet(position, X[0])
+        # The d2 stencil with its centre, the d1 stencil and 8 cross points
+        # per axis pair.
+        assert calls == [(1 + 8 * n + 4 * n * (n - 1), n)]
+        _numeric_d1(position, X)
+        assert calls[1:] == [(5 * 4 * n, n)]
 
     @pytest.mark.parametrize("name,params", ALL_CHARTS)
     @pytest.mark.parametrize("mode", ["analytic", "numeric"])

@@ -252,6 +252,16 @@ class TestGridNewton:
             assert np.array_equal(
                 hyperplane_extrema_batch(view, mode, grid_size=512), batch)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_batch_matches_scalar_at_defaults(self, n):
+        # The batch defaulted to 512 nodes and the scalar path to
+        # 4096 2^(n-3): the two disagreed on most p = 2 forms.
+        h = random_forms(n, 2, 4, seed=11 * n)
+        for mode in ("inf", "sup"):
+            scalar = [extremize_hyperplane(SecondForm(n, 2, x), mode).value
+                      for x in h]
+            assert np.array_equal(hyperplane_extrema_batch(h, mode), scalar), mode
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_point_is_feasible(self, n):
         for x in random_forms(n, 2, 3, seed=n):
