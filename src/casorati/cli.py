@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -25,8 +26,13 @@ from pathlib import Path
 # command line asks for one thread unless the caller set a count. Once numpy
 # is loaded the pool exists, and the variable would only pass on to child
 # processes: leave it alone then.
-if "numpy" not in sys.modules:
+# Every object the imports below make stays alive, so a cyclic-collector pass
+# over them finds nothing: as the program's entry, the CLI imports with the
+# collector off, then freezes those objects out of later passes.
+_entry, _collecting = "numpy" not in sys.modules, gc.isenabled()
+if _entry:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    gc.disable()
 
 import numpy as np  # noqa: E402  (after the thread count is set)
 
@@ -50,6 +56,11 @@ from .invariants import (
     inequality_reports,
     oprea_qp,
 )
+
+if _entry:
+    gc.freeze()
+    if _collecting:
+        gc.enable()
 
 __all__ = ["main"]
 

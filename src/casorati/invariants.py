@@ -153,12 +153,12 @@ def sphere_grid(n: int, size: int) -> np.ndarray:
     d = 2 ceil(n/2), maps each coordinate pair to two standard normals by
     Box-Muller and normalizes the first n; a point whose n normals have norm
     at most 1e-8 is dropped. No random stream is drawn, so the grid does not
-    depend on the numpy version. Each node depends on its lattice index
-    alone, so the p >= 2 extremum makes and scans the same nodes a block of
-    lattice points at a time.
+    depend on the numpy version. Each node depends on its lattice point
+    alone, so the grid is the concatenation of the blocks of `_grid_blocks`,
+    which the p >= 2 extremum scans one at a time.
     """
     _check_grid_size(size)
-    return _grid_nodes(n, size)(np.arange(_lattice_size(n, size)))[1]
+    return np.concatenate(list(_grid_blocks(n, size, _GRID_MAX)))
 
 
 def _check_grid_size(size: int) -> None:
@@ -169,22 +169,18 @@ def _check_grid_size(size: int) -> None:
         raise ValueError("grid_size must be >= 1")
 
 
-def _lattice_size(n: int, size: int) -> int:
-    """Lattice points behind `sphere_grid(n, size)`, dropped ones included."""
-    return size if n == 3 else 2 ** math.ceil(math.log2(max(2, size)))
-
-
-def _grid_nodes(n: int, size: int):
-    """The function taking lattice indices i to the nodes of
-    `sphere_grid(n, size)` there: the indices kept and their unit nodes, in
-    the order of i."""
+def _grid_blocks(n: int, size: int, block: int):
+    """The unit nodes of `sphere_grid(n, size)` in order, one block of
+    `block` lattice points at a time (fewer in the last block, and fewer
+    nodes where points are dropped)."""
     if n == 3:
-        def nodes(i):
+        for i0 in range(0, size, block):
+            i = np.arange(i0, min(i0 + block, size))
             z = 1.0 - (2.0 * i + 1.0) / size
             r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
             phi = i * _GOLDEN_ANGLE
-            return i, np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-        return nodes
+            yield np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+        return
     d = 2 * ((n + 1) // 2)
     # phi_d is the positive root of x^(d+1) = x + 1; the fixed-point map
     # contracts by less than 1/(d+1), so 64 steps reach double precision.
@@ -192,9 +188,9 @@ def _grid_nodes(n: int, size: int):
     for _ in range(64):
         phi_d = (1.0 + phi_d) ** (1.0 / (d + 1))
     alpha = phi_d ** -np.arange(1.0, d + 1)
-
-    def nodes(i):
-        pts = 0.5 + i[:, None] * alpha
+    count = 2 ** math.ceil(math.log2(max(2, size)))
+    for i0 in range(0, count, block):
+        pts = 0.5 + np.arange(i0, min(i0 + block, count))[:, None] * alpha
         pts -= np.floor(pts)            # pts % 1.0 exactly (pts > 0), but cheaper
         # 1 - u lies in (0, 1], so every radius is finite. The normals
         # overwrite the lattice points they come from.
@@ -205,10 +201,7 @@ def _grid_nodes(n: int, size: int):
         z = pts[:, :n]
         norms = np.linalg.norm(z, axis=1)
         keep = norms > 1e-8
-        if keep.all():
-            return i, z / norms[:, None]
-        return i[keep], z[keep] / norms[keep, None]
-    return nodes
+        yield z / norms[:, None] if keep.all() else z[keep] / norms[keep, None]
 
 
 def _hypersurface_extrema(A: np.ndarray, modes: tuple):
@@ -302,17 +295,17 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
     """Grid seed plus safeguarded Riemannian Newton for forms h (B,p,n,n).
 
     The grid `sphere_grid(n, grid_size)` is made and scanned one block of
-    lattice points at a time, with u^T A u summed over the n(n+1)/2
-    upper-triangle monomials u_i u_j, made with one broadcast product per
-    row i. A block is the longest power of two of at most `_GRID_MAX` points
-    whose monomial matrix fits `_GRID_BYTES`, but no shorter than
-    `_GRID_MIN`, which bounds the blocks per grid and so their Python
-    overhead; each block is scanned for as many forms at once as keep its
-    (forms, p + 1, block) products within `_GRID_BYTES`. So the scan's
+    lattice points at a time (`_grid_blocks`), with u^T A u summed over the
+    n(n+1)/2 upper-triangle monomials u_i u_j, made with one broadcast
+    product per row i. A block is the longest power of two of at most
+    `_GRID_MAX` points whose monomial matrix fits `_GRID_BYTES`, but no
+    shorter than `_GRID_MIN`, which bounds the blocks per grid and so their
+    Python overhead; each block is scanned for as many forms at once as keep
+    its (forms, p + 1, block) products within `_GRID_BYTES`. So the scan's
     memory grows neither with the batch nor with the grid size.
-    Each requested mode keeps the lattice index of its own best node (the
-    first least f for "inf", the first least -f for "sup"), and only those
-    nodes are made again as Newton seeds. One Newton iteration then runs on
+    Each (mode, form) row keeps its own best node itself (the first least f
+    for "inf", the first least -f for "sup"), so every node is made once and
+    these (M, B, n) nodes are the Newton seeds. One Newton iteration runs on
     the sphere over all len(modes) * B (mode, form) rows, each with its own
     sign: the restricted Hessian is clipped to be positive (for the row's
     direction), and the full step and its halvings (`_backtrack`) are tried
@@ -339,16 +332,13 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
         block //= 2
     bc = max(1, _GRID_BYTES // (8 * (p + 1) * block))
     best = np.full((M, B), np.inf)                    # sign * f at the best node
-    arg = np.zeros((M, B), dtype=int)                 # its lattice index
+    u = np.zeros((M, B, n))                           # the best node
     nodes = 0
-    grid = _grid_nodes(n, grid_size)
-    count = _lattice_size(n, grid_size)
-    buf = np.empty((iu.size, min(block, count)))
-    for i0 in range(0, count, block):
-        lattice, U = grid(np.arange(i0, min(i0 + block, count)))
-        nodes += lattice.size
+    buf = np.empty((iu.size, block))
+    for U in _grid_blocks(n, grid_size, block):
+        nodes += U.shape[0]
         Ut = np.ascontiguousarray(U.T)
-        mon = buf[:, :lattice.size]                   # u_i u_j, i <= j
+        mon = buf[:, :U.shape[0]]                     # u_i u_j, i <= j
         k = 0
         for i in range(n):                            # the rows (i, i..n-1)
             np.multiply(Ut[i], Ut[i:], out=mon[k:k + n - i])
@@ -363,10 +353,10 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
                 # argmax f is the first least -f, so "sup" needs no negated copy
                 a = np.argmin(f, axis=1) if sign > 0 else np.argmax(f, axis=1)
                 v = sign * f[rows, a]
-                top, at = best[m, b0:b0 + bc], arg[m, b0:b0 + bc]
+                top, at = best[m, b0:b0 + bc], u[m, b0:b0 + bc]
                 better = v < top
                 top[better] = v[better]
-                at[better] = lattice[a[better]]
+                at[better] = U[a[better]]
     grid_f = signs[:, None] * best
 
     # Newton rows are (mode, form) pairs, mode-major.
@@ -374,7 +364,7 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
     sign = np.repeat(signs, B)
     h, S, tr2 = h[form], S[form], tr2[form]
     f = grid_f.flatten()                             # a copy: polished in place
-    _, u = grid(arg.ravel())
+    u = u.reshape(M * B, n)                           # the seeds, polished in place
     scale = 1.0 + tr2
     eye = np.eye(n)
     halved = np.ldexp(1.0, -np.arange(1, _HALVINGS + 1))   # 2^-1, 2^-2, ...

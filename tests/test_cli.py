@@ -91,6 +91,28 @@ class TestBlasThreads:
         assert done.returncode == 0, done.stderr
 
 
+GC_STATE = "import gc; print(gc.isenabled(), gc.get_freeze_count() > 0)"
+
+
+class TestImportCollector:
+    """As the program's entry the CLI imports with the cyclic collector off
+    and freezes what the imports made; otherwise it leaves the collector
+    alone."""
+
+    def test_entry_freezes_and_collects_again(self):
+        done = run_child(["-c", "import casorati.cli; " + GC_STATE])
+        assert (done.returncode, done.stdout) == (0, "True True\n"), done.stderr
+
+    def test_collector_untouched_once_numpy_is_loaded(self):
+        done = run_child(["-c", "import numpy, casorati.cli; " + GC_STATE])
+        assert (done.returncode, done.stdout) == (0, "True False\n"), done.stderr
+
+    def test_caller_disabled_collector_stays_off(self):
+        done = run_child(["-c", "import gc; gc.disable(); "
+                          "import casorati.cli; print(gc.isenabled())"])
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
 def _mixed_corpus(tmp_path) -> dict:
     """Files CORPUS (n = 3..6, p = 1..3) and FORM (its n = 6, p = 3 entry).
     n = 5 and 6 scan 16384 and 32768 grid nodes per p >= 2 form, so the grid

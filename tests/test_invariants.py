@@ -478,14 +478,19 @@ def bits(x):
     return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
 
 
-def roadmap_forms():
-    """60 forms (A + A^T)/2, A uniform(-1, 1), from one default_rng(11)
-    stream for each (n, p) in turn: the reproducer corpus of the p >= 2 sup."""
-    rng = np.random.default_rng(11)
+CORPUS_A = (11, 60, ((3, 2), (4, 2), (5, 3), (6, 2), (6, 3)))
+CORPUS_B = (2026, 40, ((5, 2), (6, 2), (4, 3)))
+
+
+def roadmap_forms(seed, m, blocks):
+    """m forms (A + A^T)/2, A uniform(-1, 1), from one default_rng(seed)
+    stream for each (n, p) of `blocks` in turn: ROADMAP corpus A
+    (`CORPUS_A`, the reproducer corpus of the p >= 2 sup) or B (`CORPUS_B`)."""
+    rng = np.random.default_rng(seed)
     out = {}
-    for n, p in ((3, 2), (4, 2), (5, 3), (6, 2), (6, 3)):
+    for n, p in blocks:
         forms = []
-        for _ in range(60):
+        for _ in range(m):
             A = rng.uniform(-1.0, 1.0, (p, n, n))
             forms.append(0.5 * (A + A.transpose(0, 2, 1)))
         out[n, p] = np.array(forms)
@@ -511,9 +516,23 @@ class TestStreamedGrid:
         assert got.shape == want.shape == (2 ** 17, 6)
         assert np.array_equal(bits(got), bits(want))
 
+    @pytest.mark.parametrize("n, size", [(3, 1000), (5, 700), (8, 1)])
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    def test_blocks_concatenate_to_grid(self, n, size, block):
+        # Both sizes end on a partial block of 3 lattice points, and n = 3,
+        # size 1000 on a partial block of 256.
+        lattice = size if n == 3 else 2 ** math.ceil(math.log2(max(2, size)))
+        blocks = list(invariants._grid_blocks(n, size, block))
+        assert len(blocks) == -(-lattice // block)
+        assert all(U.shape[0] <= block for U in blocks)
+        got = np.concatenate(blocks)
+        for want in (sphere_grid(n, size), frozen_sphere_grid(n, size)):
+            assert got.shape == want.shape
+            assert np.array_equal(bits(got), bits(want))
+
     @pytest.mark.parametrize("n, p", [(3, 2), (4, 2), (5, 3), (6, 2), (6, 3)])
     def test_grid_newton_matches_frozen(self, n, p):
-        h = roadmap_forms()[n, p]
+        h = roadmap_forms(*CORPUS_A)[n, p]
         size = min(32768, 4096 * 2 ** (n - 3))
         got = _grid_newton(h, size, ("inf", "sup"))
         want = frozen_grid_newton(h, size, ("inf", "sup"))
@@ -596,7 +615,7 @@ class TestStreamedGrid:
     @pytest.mark.parametrize("n, p", [(3, 2), (4, 2), (5, 3), (6, 2), (6, 3)])
     def test_floor_blocks_match_default(self, monkeypatch, n, p):
         # No budget: every block is the floor's and holds one form at a time.
-        h = roadmap_forms()[n, p]
+        h = roadmap_forms(*CORPUS_A)[n, p]
         size = min(32768, 4096 * 2 ** (n - 3))
         want = _grid_newton(h, size, ("inf", "sup"))
         monkeypatch.setattr(invariants, "_GRID_BYTES", 0)
@@ -605,6 +624,33 @@ class TestStreamedGrid:
             assert np.array_equal(bits(g), bits(w))
         assert got[3] == want[3]
 
+
+# Known-wrong p >= 2 extrema (ROADMAP item 1): the reference (n - 1) C(L) is
+# the best of 40 to 60 random multistarts, by draw number across the (n, p)
+# blocks of corpus A ("A80") or corpus B ("B34"). Polishing only the best
+# grid node undershoots these sups and overshoots these infs by 1.0e-4 to
+# 2.1e-3 (1 + |h|^2).
+WRONG_EXTREMA = [
+    ("A80", "sup", 6.591261), ("A135", "sup", 9.711733),
+    ("A144", "sup", 12.249469), ("A116", "inf", 0.856795),
+    ("A130", "inf", 6.845256), ("A179", "inf", 7.329173),
+    ("A223", "inf", 4.755189), ("B34", "inf", 1.785177),
+    ("B44", "inf", 5.469862),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="p >= 2 Newton polishes one grid seed per "
+                   "(mode, form) row (ROADMAP item 1)")
+@pytest.mark.parametrize("draw, mode, reference", WRONG_EXTREMA)
+def test_known_wrong_extremum(draw, mode, reference):
+    corpus = CORPUS_A if draw[0] == "A" else CORPUS_B
+    _, m, blocks = corpus
+    k = int(draw[1:])
+    n, p = blocks[k // m]
+    h = roadmap_forms(*corpus)[n, p][k % m]
+    value = (n - 1) * extremize_hyperplane(SecondForm(n, p, h), mode).value
+    assert abs(value - reference) <= 1e-5 * (1.0 + np.sum(h * h))
 
 
 class TestTau:
