@@ -58,12 +58,20 @@ class SecondForm:
         if h.shape != (self.p, self.n, self.n):
             raise ValueError(f"h must have shape ({self.p}, {self.n}, {self.n}), "
                              f"got {h.shape}")
-        if not np.isfinite(h).all():
-            raise ValueError("h must be finite (no NaN or inf entries)")
-        scale = 1.0 + np.abs(h).max(initial=0.0)
-        if np.abs(h - h.transpose(0, 2, 1)).max(initial=0.0) > 1e-8 * scale:
-            raise ValueError("each h[r] must be symmetric in (i, j)")
+        _check_form_entries(h)
         object.__setattr__(self, "h", h)
+
+
+def _check_form_entries(h: np.ndarray) -> None:
+    """Reject forms h (..., p, n, n) with a non-finite entry or an h[r] that
+    is not symmetric within 1e-8 (1 + max |h|) of its own form."""
+    if not np.isfinite(h).all():
+        raise ValueError("h must be finite (no NaN or inf entries)")
+    axes = (-3, -2, -1)
+    scale = 1.0 + np.abs(h).max(axis=axes, initial=0.0)
+    asym = np.abs(h - np.swapaxes(h, -1, -2)).max(axis=axes, initial=0.0)
+    if (asym > 1e-8 * scale).any():
+        raise ValueError("each h[r] must be symmetric in (i, j)")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import SecondForm, _gauss_riemann
+from .geometry import SecondForm, _check_form_entries, _gauss_riemann
 
 __all__ = [
     "HyperplaneExtremum",
@@ -47,8 +47,6 @@ _NEWTON_ITERS = 60
 # points in [_GRID_MIN, _GRID_MAX], the floor overriding the budget (n >= 11).
 _GRID_BYTES = 128 * 1024
 _GRID_MIN, _GRID_MAX = 256, 4096
-# Most (row, step) candidates one backtracking evaluation holds.
-_CHUNK = 1 << 14
 # Step halvings tried after a Newton step that does not improve its row.
 _HALVINGS = 29
 
@@ -260,37 +258,6 @@ def _values_at(h, S, tr2, u):
     return tr2 - 2.0 * uSu + (quad * quad).sum(-1)
 
 
-def _backtrack(h, S, tr2, sign, f, ul, step, t):
-    """Backtracking for Newton rows with forms h (R, p, n, n), S (R, n, n),
-    tr2 (R,), signs (R,), values f (R,), points ul (R, n) and steps (R, n):
-    the candidates ul + t_k step, normalized, for all t_k in t (K,) at once,
-    in evaluations of at most `_CHUNK` (row, candidate) pairs. A row takes
-    its first candidate that lowers sign * f, unless an earlier failed one
-    rounds back onto ul: then it is stuck. This is the sequential loop over
-    t, bit for bit. Returns the masks of the rows that moved and of those
-    stuck, and each row's chosen point and value (meaningful where moved).
-    """
-    R, K = sign.size, t.size
-    moved = np.zeros(R, dtype=bool)
-    stuck = np.zeros(R, dtype=bool)
-    u_new, f_new = np.empty_like(ul), np.empty_like(f)
-    rc = max(1, _CHUNK // K)
-    for r0 in range(0, R, rc):
-        r = slice(r0, r0 + rc)
-        cand = ul[r, None, :] + t[:, None] * step[r, None, :]      # (R', K, n)
-        cand /= np.sqrt((cand * cand).sum(-1))[..., None]
-        fc = _values_at(h[r, None], S[r, None], tr2[r, None], cand)
-        s = sign[r, None]
-        better = s * fc < s * f[r, None]
-        back = (cand == ul[r, None, :]).all(-1)
-        k = np.argmax(better | back, axis=1)                 # first decided
-        rows = np.arange(k.size)
-        moved[r] = better[rows, k]
-        stuck[r] = back[rows, k] & ~moved[r]
-        u_new[r], f_new[r] = cand[rows, k], fc[rows, k]
-    return moved, stuck, u_new, f_new
-
-
 def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
     """Grid seed plus safeguarded Riemannian Newton for forms h (B,p,n,n).
 
@@ -308,12 +275,13 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
     these (M, B, n) nodes are the Newton seeds. One Newton iteration runs on
     the sphere over all len(modes) * B (mode, form) rows, each with its own
     sign: the restricted Hessian is clipped to be positive (for the row's
-    direction), and the full step and its halvings (`_backtrack`) are tried
-    until the value improves; a row stops once its tangent gradient is below
-    1e-14 (1 + |h|^2), no halving improves it, or a failed step rounds back
-    onto its current point. Every operation acts on one row at a time or
-    elementwise, so a result depends neither on the batch its form came in
-    nor on the other modes asked for. Returns (n-1) C(u-perp) at the
+    direction), and a backtracking line search tries the full step, then
+    its halvings, on the rows still pending until the value improves. A row
+    stops once its tangent gradient is below 1e-14 (1 + |h|^2), its full
+    step fails with a model decrease below that scale, a failed step rounds
+    back onto its current point, or no halving improves it. Every operation
+    acts on one row at a time or elementwise, so a result depends neither
+    on the batch its form came in nor on the other modes asked for. Returns (n-1) C(u-perp) at the
     polished points (M, B), the unit points u (M, B, n), the best grid
     values (M, B), M = len(modes), and the number of grid nodes.
     """
@@ -367,7 +335,6 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
     u = u.reshape(M * B, n)                           # the seeds, polished in place
     scale = 1.0 + tr2
     eye = np.eye(n)
-    halved = np.ldexp(1.0, -np.arange(1, _HALVINGS + 1))   # 2^-1, 2^-2, ...
     live = np.ones(M * B, dtype=bool)
     for _ in range(_NEWTON_ITERS):
         idx = np.flatnonzero(live)
@@ -397,19 +364,28 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
         w = np.maximum(w, floor[:, None])
         step = -(V @ (E @ ((E.transpose(0, 2, 1) @ (Vt @ g[:, :, None]))
                            / w[:, :, None])))[..., 0]
-        # The full step of every row first, then all halvings of the rows
-        # it neither improves nor leaves stuck. A row stuck or left without
-        # an improving step has converged to rounding and stops.
-        tl = tr2[idx]
-        moved, stuck, u_new, f_new = _backtrack(hl, Sl, tl, sl, f[idx], ul,
-                                                step, np.ones(1))
-        rest = np.flatnonzero(~(moved | stuck))
-        moved[rest], _, u_new[rest], f_new[rest] = _backtrack(
-            hl[rest], Sl[rest], tl[rest], sl[rest], f[idx[rest]], ul[rest],
-            step[rest], halved)
-        u[idx[moved]] = u_new[moved]
-        f[idx[moved]] = f_new[moved]
-        live[idx[~moved]] = False
+        # Backtracking over the rows still pending, t = 1, 1/2, ...,
+        # 2^-_HALVINGS: a row moves to its first candidate that lowers
+        # sign * f. It stops, converged to rounding, if a failed candidate
+        # rounds back onto ul, if its full step fails with a model decrease
+        # -g^T s of at most 1e-14 (1 + |h|^2), or if no try improves it.
+        live[idx] = False
+        flat = (g * step).sum(-1) >= -1e-14 * scale[idx]
+        pend = np.arange(L)
+        t = 1.0
+        for _ in range(_HALVINGS + 1):
+            cand = ul[pend] + t * step[pend]
+            cand /= np.sqrt((cand * cand).sum(-1))[:, None]
+            j = idx[pend]
+            fc = _values_at(hl[pend], Sl[pend], tr2[j], cand)
+            ok = sl[pend] * fc < sl[pend] * f[j]
+            u[j[ok]], f[j[ok]] = cand[ok], fc[ok]
+            live[j[ok]] = True
+            pend = pend[~(ok | flat | (cand == ul[pend]).all(-1))]
+            if pend.size == 0:
+                break
+            flat = False                 # only a failed full step converges
+            t *= 0.5
     return f.reshape(M, B), u.reshape(M, B, n), grid_f, nodes
 
 
@@ -463,11 +439,15 @@ def hyperplane_extrema_batch(h: np.ndarray, mode: str, *,
     this is the grid+Newton path of `extremize_hyperplane`, with the same
     default grid, run on the whole batch; each value equals that function's,
     bit for bit, and the values are conservative bounds in the sense
-    documented there.
+    documented there. Each form must pass `SecondForm`'s checks: finite
+    entries and symmetric slices.
     """
     h = np.asarray(h, dtype=float)
-    _, _, n, _ = h.shape
-    _check_extremum_args(mode, n)
+    if h.ndim != 4 or h.shape[1] < 1 or h.shape[2] != h.shape[3]:
+        raise ValueError(f"h must have shape (B, p, n, n) with p >= 1, "
+                         f"got {h.shape}")
+    _check_extremum_args(mode, h.shape[2])
+    _check_form_entries(h)
     return np.array([e.value for e in _extrema(h, (mode,), grid_size)[0]])
 
 

@@ -29,7 +29,7 @@ from casorati.invariants import (
     weyl_norm,
 )
 from casorati import invariants
-from casorati.invariants import _HALVINGS, _backtrack, _grid_newton
+from casorati.invariants import _grid_newton
 
 
 def diag_form(*vals, p=1):
@@ -292,6 +292,31 @@ class TestGridNewton:
         with pytest.raises(ValueError):
             hyperplane_extrema_batch(np.zeros((4, 2, 3, 3)), "max")
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_batch_rejects_what_second_form_rejects(self, p):
+        # Each bad array was accepted: an asymmetric p = 2 form gave inf 0.5,
+        # a NaN entry at p = 2 gave inf, and an inf entry at p = 1 gave nan.
+        h = random_forms(3, p, 3, seed=p)
+        asym, nan, big = h.copy(), h.copy(), h.copy()
+        asym[1, 0, 0, 1] += 1e-3
+        asym[0] *= 1e9        # symmetry is judged on each form's own scale
+        nan[2, p - 1, 1, 1] = np.nan
+        big[0, 0, 2, 2] = np.inf
+        for bad, b, match in ((asym, 1, "symmetric"), (nan, 2, "finite"),
+                              (big, 0, "finite")):
+            with pytest.raises(ValueError, match=match):
+                SecondForm(3, p, bad[b])
+            for mode in ("inf", "sup"):
+                with pytest.raises(ValueError, match=match):
+                    hyperplane_extrema_batch(bad, mode)
+        asym[1, 0, 0, 1] -= 1e-3
+        asym[0, 0, 0, 1] += 1.0   # within 1e-8 (1 + max |h|) of its form
+        SecondForm(3, p, asym[0])
+        assert np.isfinite(hyperplane_extrema_batch(asym, "sup")).all()
+        for shape in ((3, 3, 3), (2, 0, 3, 3), (2, p, 3, 4), (1, 2, p, 3, 3)):
+            with pytest.raises(ValueError, match="shape"):
+                hyperplane_extrema_batch(np.zeros(shape), "inf")
+
     @pytest.mark.parametrize("size", [0, -1, -4096, 1.5, 2.5, 4.0, True,
                                       np.float64(8.0)])
     def test_grid_size_below_one(self, size):
@@ -339,10 +364,11 @@ class TestGridNewton:
 
 
 # Frozen copies of the sphere grid and the grid+Newton extremum as they were
-# before the grid was streamed and the step halvings batched: the whole grid
-# at once (with % 1.0), the scan in chunks of 2^14 nodes and the sequential
-# 30-halving backtracking loop. The current code must reproduce them bit for
-# bit.
+# before the grid was streamed: the whole grid at once (with % 1.0), the scan
+# in chunks of 2^14 nodes and the sequential 30-halving backtracking loop.
+# The current code must reproduce them bit for bit. With stop=False the loop
+# is the one from before a failed full step within rounding of its model
+# decrease stopped its row; the current values lie within rounding of it.
 
 def frozen_sphere_grid(n, size):
     if n == 3:
@@ -376,7 +402,7 @@ def frozen_values_at(h, S, tr2, u):
     return tr2 - 2.0 * uSu + (quad * quad).sum(-1)
 
 
-def frozen_grid_newton(h, grid_size, modes):
+def frozen_grid_newton(h, grid_size, modes, stop=True):
     chunk = 1 << 14
     B, p, n, _ = h.shape
     signs = np.array([1.0 if mode == "inf" else -1.0 for mode in modes])
@@ -450,7 +476,7 @@ def frozen_grid_newton(h, grid_size, modes):
                            / w[:, :, None])))[..., 0]
         t = np.ones(L)
         pend = np.arange(L)
-        for _ in range(30):
+        for k in range(30):
             cand = ul[pend] + t[pend, None] * step[pend]
             cand /= np.sqrt((cand * cand).sum(-1))[:, None]
             j = idx[pend]
@@ -459,6 +485,10 @@ def frozen_grid_newton(h, grid_size, modes):
             u[j[ok]] = cand[ok]
             f[j[ok]] = fc[ok]
             fail = ~ok
+            if k == 0 and stop:
+                flat = fail & ((g * step).sum(-1) >= -1e-14 * scale[j])
+                live[j[flat]] = False
+                fail &= ~flat
             if fail.any():
                 stuck = (cand == ul[pend]).all(-1)
                 if stuck.any():
@@ -498,9 +528,8 @@ def roadmap_forms(seed, m, blocks):
 
 
 class TestStreamedGrid:
-    """The streamed grid and the batched halvings reproduce the frozen
-    whole-grid scan and sequential halving loop bit for bit, with less
-    memory."""
+    """The streamed grid and the line search reproduce the frozen whole-grid
+    scan and sequential halving loop bit for bit, with less memory."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("size", [512, 700, "default"])
@@ -541,53 +570,38 @@ class TestStreamedGrid:
             assert np.array_equal(bits(g), bits(w))
         assert got[3] == frozen_sphere_grid(n, size).shape[0]
 
-    def test_backtrack_matches_sequential_halving(self):
-        # Steps of length 2^-60 .. 2^8 along the descent direction: rows that
-        # take the full step, a halving, nothing, or round back onto u.
-        rng = np.random.default_rng(5)
-        R, p, n = 600, 2, 4
-        h = random_forms(n, p, R, seed=6)
-        S = (h @ h).sum(axis=1)
-        tr2 = (h * h).sum(axis=(1, 2, 3))
-        sign = rng.choice([-1.0, 1.0], R)
-        ul = rng.normal(size=(R, n))
-        ul /= np.sqrt((ul * ul).sum(-1))[:, None]
-        f = frozen_values_at(h, S, tr2, ul)
-        g = sign[:, None] * (-4.0 * (S @ ul[:, :, None])[..., 0]
-                             + 4.0 * np.einsum("rp,rpi->ri",
-                                               np.einsum("rpij,ri,rj->rp", h, ul, ul),
-                                               np.einsum("rpij,rj->rpi", h, ul)))
-        g -= (g * ul).sum(-1)[:, None] * ul
-        step = -g / np.linalg.norm(g, axis=1)[:, None] * np.ldexp(
-            1.0, rng.integers(-60, 9, R))[:, None]
-        # The sequential loop: t = 1, 1/2, ... until a candidate improves,
-        # rounds back onto u, or 30 tries fail.
-        u_seq, f_seq = ul.copy(), f.copy()
-        moved_seq = np.zeros(R, dtype=bool)
-        stuck_seq = np.zeros(R, dtype=bool)
-        first = np.full(R, -1)
-        for r in range(R):
-            t = 1.0
-            for k in range(30):
-                cand = ul[r:r + 1] + t * step[r:r + 1]
-                cand /= np.sqrt((cand * cand).sum(-1))[:, None]
-                fc = frozen_values_at(h[r:r + 1], S[r:r + 1], tr2[r:r + 1], cand)[0]
-                if sign[r] * fc < sign[r] * f[r]:
-                    u_seq[r], f_seq[r], moved_seq[r], first[r] = cand[0], fc, True, k
-                    break
-                if (cand[0] == ul[r]).all():
-                    stuck_seq[r] = True
-                    break
-                t *= 0.5
-        assert ((first == 0).sum() and (first > 0).sum() and stuck_seq.sum()
-                and (~moved_seq & ~stuck_seq).sum())
-        assert _HALVINGS == 29
-        t = np.ldexp(1.0, -np.arange(30))                # 1, 1/2, ..., 2^-29
-        moved, stuck, u_new, f_new = _backtrack(h, S, tr2, sign, f, ul, step, t)
-        assert np.array_equal(moved, moved_seq)
-        assert np.array_equal(stuck, stuck_seq)
-        assert np.array_equal(bits(u_new[moved]), bits(u_seq[moved]))
-        assert np.array_equal(bits(f_new[moved]), bits(f_seq[moved]))
+    @pytest.mark.parametrize("corpus, n, p", [
+        *(("A", n, p) for n, p in CORPUS_A[2]),
+        *(("B", n, p) for n, p in CORPUS_B[2])])
+    def test_converged_stop_moves_values_within_rounding(self, corpus, n, p):
+        # Stopping a row whose failed full step promises no more than
+        # rounding moves its value by at most 1e-14 (1 + |h|^2); the grid
+        # values do not move at all.
+        h = roadmap_forms(*(CORPUS_A if corpus == "A" else CORPUS_B))[n, p]
+        size = min(32768, 4096 * 2 ** (n - 3))
+        got = _grid_newton(h, size, ("inf", "sup"))
+        want = frozen_grid_newton(h, size, ("inf", "sup"), stop=False)
+        scale = 1.0 + (h * h).sum(axis=(1, 2, 3))
+        assert np.all(np.abs(got[0] - want[0]) <= 1e-14 * scale)
+        assert np.array_equal(bits(got[2]), bits(want[2]))
+
+    @pytest.mark.parametrize("n, p", CORPUS_A[2])
+    def test_line_search_evaluations_per_row(self, monkeypatch, n, p):
+        # The replay of all 30 step halvings took 29.0 to 36.5 candidate
+        # values per (mode, form) row here; trying only the rows still
+        # pending, and stopping those converged to rounding, takes 3.2 to 4.5.
+        h = roadmap_forms(*CORPUS_A)[n, p]
+        size = min(32768, 4096 * 2 ** (n - 3))
+        values_at = invariants._values_at
+        rows = []
+
+        def counted(h, S, tr2, u):
+            rows.append(u.size // u.shape[-1])
+            return values_at(h, S, tr2, u)
+
+        monkeypatch.setattr(invariants, "_values_at", counted)
+        _grid_newton(h, size, ("inf", "sup"))
+        assert sum(rows) <= 8 * 2 * h.shape[0]
 
     @staticmethod
     def traced_peak(h):
