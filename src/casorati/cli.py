@@ -78,6 +78,9 @@ MAX_QP_N = 1000
 # 256 doubles per grid block from n = 8 on: at this limit a p = 2 `report`
 # process peaks at about 38 MB and takes 0.5-0.7 s (2-core Xeon).
 MAX_SYNTHETIC_N = 64
+# `verify --chart` takes (1 + 4n)^2 metric points per grid point: at this
+# limit one hypersphere point takes 0.84 s and peaks at 162 MB (about n^4).
+MAX_ORACLE_N = 24
 
 
 def _finite(value: float, what: str) -> float:
@@ -136,11 +139,6 @@ def _parse_grid(spec: str, axis_names: tuple) -> list:
         raise ValueError(f"grid has {total} points, limit is {MAX_GRID_POINTS}")
     grids = np.meshgrid(*[per_axis[a][1]() for a in axis_names], indexing="ij")
     return [np.array(pt) for pt in zip(*[g.ravel() for g in grids])]
-
-
-def _load_synthetic(path: str) -> tuple:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return _synthetic_from_dict(data)
 
 
 def _synthetic_number(value, what: str, integer: bool = False):
@@ -284,7 +282,8 @@ def _cmd_catalog(args) -> int:
 def _cmd_report(args) -> int:
     if args.synthetic:
         _reject_chart_flags(args)
-        sf, c_file = _load_synthetic(args.synthetic)
+        sf, c_file = _synthetic_from_dict(
+            json.loads(Path(args.synthetic).read_text(encoding="utf-8")))
         c_tilde = args.c_tilde if args.c_tilde is not None else c_file
         cond, jet_mode = None, None
     else:
@@ -381,6 +380,9 @@ def _cmd_verify(args) -> int:
         if not args.chart or not args.grid:
             raise ValueError("verify needs --synthetic or both --chart and --grid")
         chart = _make_cli_chart(args)
+        if chart.n > MAX_ORACLE_N:
+            raise ValueError(f"verify --chart needs n <= MAX_ORACLE_N = "
+                             f"{MAX_ORACLE_N}, got n = {chart.n}")
         jet_mode, tol_geom = chart.jet_mode, args.tol_geometric
         if tol_geom is None:
             tol_geom = 1e-5 if jet_mode == "numeric" else 1e-7
@@ -403,13 +405,15 @@ def _cmd_verify(args) -> int:
         if resid is not None:
             if resid > worst_gauss[1]:
                 worst_gauss = (label, resid)
-            if resid > tol_geom:
+            if not resid <= tol_geom:  # a NaN residual fails
                 violations.append(f"{label}: Gauss residual {resid:.3e}")
         if rep is not None:
             s = min(rep.slack11, rep.slack41)
+            if math.isnan(rep.slack41):  # min() keeps slack11 against a NaN
+                s = rep.slack41
             if s < worst_slack[1]:
                 worst_slack = (label, s)
-            if s < -args.tol_algebraic:
+            if not s >= -args.tol_algebraic:  # a NaN slack fails
                 violations.append(f"{label}: slack {s:.3e}")
 
     print(f"verify: {len(labels)} inputs checked, {len(violations)} violations")
@@ -428,16 +432,13 @@ def _cmd_verify(args) -> int:
 def _cmd_qp(args) -> int:
     if not 3 <= args.n <= MAX_QP_N:
         raise ValueError(f"qp needs 3 <= n <= {MAX_QP_N}, got {args.n}")
+    # The objective at the minimizer sums terms of at most 2k^2 in size
+    # ((sum x)^2 = k^2), so its partial sums stay below 4k^2 <= float_max.
+    k_max = 0.5 * math.sqrt(sys.float_info.max)
+    if abs(args.k) > k_max:
+        raise ValueError(f"--k must satisfy |k| <= {k_max:.6g}, got {args.k!r}")
     sol = oprea_qp(args.variant, args.n, args.k)
-    out = {
-        "variant": sol.variant,
-        "n": sol.n,
-        "k": sol.k,
-        "point": sol.point.tolist(),
-        "t": sol.t,
-        "value": sol.value,
-        "min_restricted_hessian_eig": sol.min_restricted_hessian_eig,
-    }
+    out = {**vars(sol), "point": sol.point.tolist()}
     _emit(json.dumps(out, indent=2, sort_keys=True), args.out)
     return 0
 

@@ -10,6 +10,7 @@ Ricci/Weyl checks, and the equality-case classification.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -469,29 +470,36 @@ def tau_from_h(h: SecondForm, c_tilde: float = 0.0) -> float:
 # proof polynomials
 # ---------------------------------------------------------------------------
 
+def _family(variant: str, n: int) -> tuple:
+    """(c, b) of the normalized delta-Casorati curvature c C + b C(L)* that
+    `variant` bounds (Decu, Haesen and Verstraelen 2008): c = r / (n(n-1)),
+    b = (1 + c(n-1))(1 - c) / (c n), and C(L)* the sup of C(L) over the
+    hyperplanes L for c > 1, the inf for c < 1. "P" is c = 2, delta-hat of
+    (1.1); "Q" is c = 1/2, delta_C of (4.1)."""
+    c = {"P": 2.0, "Q": 0.5}.get(variant)
+    if c is None:
+        raise ValueError("variant must be 'P' or 'Q'")
+    return c, (1.0 + c * (n - 1.0)) * (1.0 - c) / (c * n)
+
+
 def proof_polynomial(h: SecondForm, u, variant: str) -> float:
-    """The nonnegative quadratic polynomial underlying each inequality.
+    """The nonnegative quadratic polynomial underlying each inequality,
 
-    variant "P": 2n(n-1) C + (n-1)(1-2n)/2 C(L) - 2 tau + n(n-1) c_tilde
-    variant "Q": n(n-1)/2 C + (n-1)(n+1)/2 C(L) - 2 tau + n(n-1) c_tilde
+        n(n-1) (c C + b C(L)) - 2 tau + n(n-1) c_tilde,
 
-    with L = u-perp.  Substituting 2 tau = n^2 |H|^2 - n C + n(n-1) c_tilde
+    with L = u-perp and (c, b) the family coefficients of `variant`
+    (`_family`). Substituting 2 tau = n^2 |H|^2 - n C + n(n-1) c_tilde
     cancels the ambient term, so the value depends only on (h, u).
     """
     n = h.n
     if n < 3:
         raise ValueError("proof polynomial needs n >= 3")
+    c, b = _family(variant, n)
     C = casorati_total(h)
     CL = casorati_hyperplane(h, u)
     traces = np.einsum("rii->r", h.h)
     n2H2 = float(np.sum(traces ** 2))
-    if variant == "P":
-        return 2.0 * n * (n - 1.0) * C + 0.5 * (n - 1.0) * (1.0 - 2.0 * n) * CL \
-            + n * C - n2H2
-    if variant == "Q":
-        return 0.5 * n * (n - 1.0) * C + 0.5 * (n - 1.0) * (n + 1.0) * CL \
-            + n * C - n2H2
-    raise ValueError("variant must be 'P' or 'Q'")
+    return n * (n - 1.0) * (c * C + b * CL) + n * C - n2H2
 
 
 # ---------------------------------------------------------------------------
@@ -499,30 +507,23 @@ def proof_polynomial(h: SecondForm, u, variant: str) -> float:
 # ---------------------------------------------------------------------------
 
 def qp_objective(variant: str, x) -> float:
-    """Quadratic form in the diagonal entries, per inequality variant."""
+    """x^T H x / 2 for the `qp_hessian` H of `variant`, in O(n)."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
+    c, b = _family(variant, n)
+    total = float(np.sum(x * x))
     # sum_{i<j} x_i x_j in O(n)
-    off = 0.5 * (float(np.sum(x)) ** 2 - float(np.sum(x ** 2)))
-    if variant == "P":
-        return (0.5 * (2.0 * n - 3.0) * float(np.sum(x[:-1] ** 2))
-                + 2.0 * (n - 1.0) * x[-1] ** 2 - 2.0 * off)
-    if variant == "Q":
-        return (n * float(np.sum(x[:-1] ** 2))
-                + 0.5 * (n - 1.0) * x[-1] ** 2 - 2.0 * off)
-    raise ValueError("variant must be 'P' or 'Q'")
+    off = 0.5 * (float(np.sum(x)) ** 2 - total)
+    return (n - 1.0) * c * total + n * b * float(np.sum(x[:-1] ** 2)) - 2.0 * off
 
 
 def qp_hessian(variant: str, n: int) -> np.ndarray:
-    H = -2.0 * np.ones((n, n))
-    if variant == "P":
-        np.fill_diagonal(H, 2.0 * n - 3.0)
-        H[-1, -1] = 4.0 * (n - 1.0)
-    elif variant == "Q":
-        np.fill_diagonal(H, 2.0 * n)
-        H[-1, -1] = n - 1.0
-    else:
-        raise ValueError("variant must be 'P' or 'Q'")
+    """Hessian of the quadratic form in the diagonal of h, with the
+    `_family` coefficients (c, b) of `variant`."""
+    c, b = _family(variant, n)
+    H = np.full((n, n), -2.0)
+    np.fill_diagonal(H, 2.0 * (n - 1.0) * c + 2.0 * n * b)
+    H[-1, -1] = 2.0 * (n - 1.0) * c
     return H
 
 
@@ -539,22 +540,19 @@ def _trace_constraint_basis(n: int) -> np.ndarray:
 def oprea_qp(variant: str, n: int, k: float) -> QPSolution:
     """Closed-form minimizer of the variant quadratic form under trace k.
 
-    variant P: (2t, ..., 2t, t) with t = k / (2n - 1); variant Q:
-    (t, ..., t, 2t) with t = k / (n + 1).  The minimum value is 0, certified
-    by the restricted Hessian (projected onto {sum x_i = 0}) being PSD.
+    With c of `_family`, it is k / (n - 1 + 1/c) (1, ..., 1, 1/c) and
+    t = k min(1, 1/c) / (n - 1 + 1/c): (2t, ..., 2t, t), t = k / (2n - 1),
+    for P and (t, ..., t, 2t), t = k / (n + 1), for Q. The minimum value is
+    0, certified by the restricted Hessian (projected onto {sum x_i = 0})
+    being PSD.
     """
     if n < 3:
         raise ValueError("trace-constrained minimization needs n >= 3")
-    if variant == "P":
-        t = k / (2.0 * n - 1.0)
-        point = np.full(n, 2.0 * t)
-        point[-1] = t
-    elif variant == "Q":
-        t = k / (n + 1.0)
-        point = np.full(n, t)
-        point[-1] = 2.0 * t
-    else:
-        raise ValueError("variant must be 'P' or 'Q'")
+    c, _ = _family(variant, n)
+    span = n - 1.0 + 1.0 / c
+    point = np.full(n, k / span)
+    point[-1] /= c
+    t = k * min(1.0, 1.0 / c) / span
     value = qp_objective(variant, point)
     V = _trace_constraint_basis(n)
     H = qp_hessian(variant, n)
@@ -643,14 +641,13 @@ def classify_ideal(h: SecondForm, tol: float = 1e-8) -> IdealClassification:
         A = 0.5 * (A + A.T)
     eigs = np.linalg.eigvalsh(A)
     scale = max(1.0, float(np.abs(eigs).max()))
-    counts = _multiplicities(eigs, tol * scale)
-    quasi = single and max(counts) >= n - 1
-
     if not single:
         return IdealClassification("Generic", None, False, False)
     if eigs.max() - eigs.min() <= tol * scale:
         lam = float(eigs.mean())
         return IdealClassification("Umbilical", lam, True, True)
+    # Quasi-umbilical: n - 1 of the ascending eigenvalues within tol * scale.
+    quasi = bool(min(eigs[-2] - eigs[0], eigs[-1] - eigs[1]) <= tol * scale)
     kind, lam = _match_pattern(eigs, tol)
     if kind is not None:
         # The pattern is matched up to a global sign, so report lambda >= 0.
@@ -658,17 +655,16 @@ def classify_ideal(h: SecondForm, tol: float = 1e-8) -> IdealClassification:
     return IdealClassification("Generic", None, True, quasi)
 
 
-def _multiplicities(eigs: np.ndarray, atol: float) -> list:
-    counts = []
-    i = 0
-    v = np.sort(eigs)
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and v[j + 1] - v[i] <= atol:
-            j += 1
-        counts.append(j - i + 1)
-        i = j + 1
-    return counts
+def _check_range(h: SecondForm, c_tilde: float, i: int) -> None:
+    """Reject item i, (h, c_tilde), if its report could overflow. Terms
+    quadratic in h are at most P = p n^2 max|h|^2 in size, and the p >= 2
+    Newton stop rule squares a gradient of at most 8P: P <= sqrt(float_max)
+    / 64 keeps it finite, and n(n-1) |c_tilde| <= float_max / 32 the rest."""
+    h_max = sys.float_info.max ** 0.25 / (8.0 * h.n * math.sqrt(h.p))
+    c_max = sys.float_info.max / (32.0 * h.n * h.n)
+    if not (np.abs(h.h).max() <= h_max and abs(c_tilde) <= c_max):
+        raise ValueError(f"report item {i}: max |h| > {h_max:.6g} or |c_tilde| "
+                         f"> {c_max:.6g}, beyond which the invariants overflow")
 
 
 def inequality_reports(items, *, classify_tol: float = 1e-8) -> list:
@@ -680,27 +676,28 @@ def inequality_reports(items, *, classify_tol: float = 1e-8) -> list:
     the form reported alone, bit for bit.
     """
     groups = {}
-    for i, (h, _) in enumerate(items):
+    for i, (h, c_tilde) in enumerate(items):
         if h.n < 3:
             raise ValueError("inequality report needs n >= 3")
+        _check_range(h, c_tilde, i)
         groups.setdefault((h.n, h.p), []).append(i)
     reports = [None] * len(items)
     # Largest (n, p) first: its grid-scan buffers are the biggest, and
     # allocating them before the smaller groups' lowered the peak RSS of
     # a mixed n = 3..6 corpus from 43.0 to 40.0 MB (glibc malloc).
-    for _, idx in sorted(groups.items(), reverse=True):
+    for (n, _), idx in sorted(groups.items(), reverse=True):
+        family = (_family("P", n), _family("Q", n))
         infs, sups = _extrema(np.array([items[i][0].h for i in idx]),
                               ("inf", "sup"))
         for i, infCL, supCL in zip(idx, infs, sups):
             h, c_tilde = items[i]
-            n = h.n
             C = casorati_total(h)
             traces = np.einsum("rii->r", h.h)
             meanH = float(np.linalg.norm(traces) / n)
             tau = tau_from_h(h, c_tilde)
             rho = 2.0 * tau / (n * (n - 1.0))
-            delta_hat = 2.0 * C - (2.0 * n - 1.0) / (2.0 * n) * supCL.value
-            delta_C = 0.5 * C + (n + 1.0) / (2.0 * n) * infCL.value
+            delta_hat, delta_C = (c * C + b * (supCL if c > 1.0 else infCL).value
+                                  for c, b in family)
             delta_legacy = 0.5 * C + (n + 1.0) / (2.0 * n * (n - 1.0)) * infCL.value
             slack11 = delta_hat + c_tilde - rho
             slack41 = delta_C + c_tilde - rho

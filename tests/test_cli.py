@@ -3,18 +3,27 @@ codes, determinism, and the JSON round trip."""
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from casorati.cli import MAX_QP_N, MAX_SYNTHETIC_N, _build_parser, main
+from casorati import cli
+from casorati.cli import (
+    MAX_ORACLE_N,
+    MAX_QP_N,
+    MAX_SYNTHETIC_N,
+    _build_parser,
+    main,
+)
 from casorati.geometry import SecondForm, frame_at, second_form
 from casorati.immersions import MAX_SPHERE_N, make_chart
 from casorati.invariants import inequality_report
@@ -26,6 +35,15 @@ def run(args, tmp_path, name="out"):
     path = tmp_path / name
     rc = main(list(args) + ["--out", str(path)])
     return rc, path.read_text(encoding="utf-8")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name} in CLI output")
+
+
+def loads_strict(text):
+    """CLI JSON output, parsed so that a NaN or Infinity in it fails."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def write_synthetic(tmp_path, data, name="syn.json"):
@@ -255,6 +273,66 @@ class TestNonFiniteInput:
         capsys.readouterr()
 
 
+class TestOverflowingInput:
+    # The invariants are quadratic in h and linear in c_tilde: past their
+    # bound a report would hold inf or NaN, which no check may pass.
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_huge_h(self, tmp_path, capsys, command, p):
+        entry = {"n": 3, "p": p, "h": np.full((p, 3, 3), 1e200).tolist()}
+        path = write_synthetic(tmp_path, [entry] if command == "verify" else entry)
+        assert_input_error(capsys, main([command, "--synthetic", path]),
+                           "max |h|", "overflow")
+
+    def test_huge_h_corpus_checks_nothing(self, tmp_path, capsys):
+        corpus = [identity_form(), identity_form(), identity_form()]
+        corpus[2]["h"][0][0][0] = 1e200
+        path = write_synthetic(tmp_path, corpus)
+        rc = main(["verify", "--synthetic", path])
+        out = capsys.readouterr().out
+        assert (rc, out) == (2, "")
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_huge_c_tilde_in_file(self, tmp_path, capsys, command):
+        path = write_synthetic(tmp_path, identity_form(c_tilde=1e308))
+        assert_input_error(capsys, main([command, "--synthetic", path]),
+                           "c_tilde", "overflow")
+
+    def test_huge_c_tilde_flag(self, tmp_path, capsys):
+        path = write_synthetic(tmp_path, identity_form())
+        rc = main(["report", "--synthetic", path, "--c-tilde=-1e308"])
+        assert_input_error(capsys, rc, "c_tilde", "overflow")
+
+    def test_large_form_reports_strict_json(self, tmp_path):
+        entry = {"n": 3, "p": 2, "h": (1e70 * np.eye(3)[None].repeat(2, 0)).tolist()}
+        rc, text = run(["report", "--synthetic", write_synthetic(tmp_path, entry)],
+                       tmp_path, "rep.json")
+        assert rc == 0
+        assert loads_strict(text)["C"] == pytest.approx(2e140)
+
+    def test_nan_slack_is_a_violation(self, tmp_path, capsys, monkeypatch):
+        real = cli.inequality_reports
+
+        def nan_slack(items, **kwargs):
+            return [dataclasses.replace(rep, slack41=math.nan)
+                    for rep in real(items, **kwargs)]
+
+        monkeypatch.setattr(cli, "inequality_reports", nan_slack)
+        path = write_synthetic(tmp_path, [identity_form()])
+        rc = main(["verify", "--synthetic", path])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "VIOLATION entry 0: slack nan" in out
+
+    def test_nan_gauss_residual_is_a_violation(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "gauss_residual", lambda *args: math.nan)
+        rc = main(["verify", "--chart", "hypersphere", "--param", "R=2,n=3",
+                   "--grid", "phi1=0.9,phi2=1.2,phi3=2.0"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "Gauss residual nan" in out
+
+
 class TestChartInput:
     SPHERE_POINT = "phi1=0.9,phi2=1.2,phi3=2.0"
 
@@ -265,7 +343,7 @@ class TestChartInput:
         rc, text = run(["report", "--chart", "hypersphere", "--param", "n=3.0",
                         "--point", self.SPHERE_POINT], tmp_path)
         assert rc == 0
-        assert json.loads(text)["n"] == 3
+        assert loads_strict(text)["n"] == 3
 
     def test_sphere_dimension_over_limit(self, capsys):
         # Rejected before the chart's n(n + 1)-entry factor table is built.
@@ -377,7 +455,7 @@ class TestCatalog:
     def test_lists_all_charts(self, tmp_path):
         rc, text = run(["catalog"], tmp_path)
         assert rc == 0
-        entries = json.loads(text)
+        entries = loads_strict(text)
         assert set(entries) == {"hypersphere", "chen_ideal",
                                 "flat_torus", "paraboloid"}
         assert entries["chen_ideal"]["axes"] == ["t", "u", "v"]
@@ -389,7 +467,7 @@ class TestReport:
                         "--param", "R=1,n=3",
                         "--point", "phi1=0.9,phi2=1.2,phi3=2.0"], tmp_path)
         assert rc == 0
-        rep = json.loads(text)
+        rep = loads_strict(text)
         assert rep["slack_41"] == pytest.approx(1.0 / 6.0, abs=1e-6)
         assert rep["classification"] == "Umbilical"
 
@@ -397,7 +475,7 @@ class TestReport:
         rc, text = run(["report", "--chart", "chen_ideal", "--param", "a=1",
                         "--point", "t=0.8,u=0.3,v=1.1"], tmp_path)
         assert rc == 0
-        rep = json.loads(text)
+        rep = loads_strict(text)
         assert rep["classification"] == "Ideal41"
         assert rep["slack_41"] <= 1e-6
 
@@ -407,7 +485,7 @@ class TestReport:
             "h": np.zeros((1, 3, 3)).tolist()})
         rc, text = run(["report", "--synthetic", syn], tmp_path)
         assert rc == 0
-        rep = json.loads(text)
+        rep = loads_strict(text)
         assert rep["classification"] == "TotallyGeodesic"
         assert rep["rho"] == pytest.approx(1.0, abs=1e-12)
 
@@ -421,7 +499,7 @@ class TestReport:
         assert rc == 0
         # Feed the emitted report (which echoes h) back through the
         # synthetic-input path; every value must reproduce bit for bit.
-        back = write_synthetic(tmp_path, json.loads(first), "back.json")
+        back = write_synthetic(tmp_path, loads_strict(first), "back.json")
         rc, second = run(["report", "--synthetic", back], tmp_path, "b.json")
         assert rc == 0
         assert first == second
@@ -479,7 +557,7 @@ class TestSweep:
         rc, text = run(["sweep", "--chart", chart, "--param", param,
                         "--grid", grid, "--format", fmt], tmp_path)
         assert rc == 0
-        rows = (json.loads(text) if fmt == "json"
+        rows = (loads_strict(text) if fmt == "json"
                 else list(csv.DictReader(text.splitlines())))
         assert {row["status"] for row in rows} == statuses
         c = make_chart(chart, params)
@@ -525,7 +603,7 @@ class TestSweep:
                         "--grid", "phi1=0.8:1.2:2,phi2=1.0,phi3=2.0",
                         "--format", "json"], tmp_path, "sweep.json")
         assert rc == 0
-        rows = json.loads(text)
+        rows = loads_strict(text)
         assert len(rows) == 2
         assert all(r["status"] == "ok" for r in rows)
 
@@ -703,12 +781,25 @@ class TestVerify:
                            "synthetic corpus")
 
 
+class TestOracleLimit:
+    def test_over_limit_exit_2(self, capsys):
+        # Checked before any point: at n = 64 the stencil alone would take
+        # 2.2 GB.
+        n = MAX_ORACLE_N + 1
+        grid = ",".join(f"phi{j + 1}=1.3" for j in range(n))
+        t0 = time.perf_counter()
+        rc = main(["verify", "--chart", "hypersphere", "--param", f"n={n}",
+                   "--grid", grid])
+        assert time.perf_counter() - t0 < 1.0
+        assert_input_error(capsys, rc, "MAX_ORACLE_N", str(MAX_ORACLE_N))
+
+
 class TestQP:
     def test_golden_point(self, tmp_path):
         rc, text = run(["qp", "--variant", "P", "--n", "3", "--k", "5"],
                        tmp_path, "qp.json")
         assert rc == 0
-        sol = json.loads(text)
+        sol = loads_strict(text)
         assert sol["point"] == pytest.approx([2.0, 2.0, 1.0], abs=1e-12)
         assert sol["value"] == pytest.approx(0.0, abs=1e-12)
         assert sol["min_restricted_hessian_eig"] == pytest.approx(
@@ -718,7 +809,7 @@ class TestQP:
         rc, text = run(["qp", "--variant", "Q", "--n", "3", "--k", "4"],
                        tmp_path, "qp.json")
         assert rc == 0
-        sol = json.loads(text)
+        sol = loads_strict(text)
         assert sol["point"] == pytest.approx([1.0, 1.0, 2.0], abs=1e-12)
 
     def test_bad_n_exit_2(self, capsys):
@@ -735,7 +826,22 @@ class TestQP:
         rc, text = run(["qp", "--variant", "Q", "--n", str(MAX_QP_N),
                         "--k", "1"], tmp_path, "qp.json")
         assert rc == 0
-        assert len(json.loads(text)["point"]) == MAX_QP_N
+        assert len(loads_strict(text)["point"]) == MAX_QP_N
+
+    @pytest.mark.parametrize("variant", ["P", "Q"])
+    @pytest.mark.parametrize("k", ["1e155", "-1e155", "6.8e153"])
+    def test_overflowing_k_exit_2(self, capsys, variant, k):
+        rc = main(["qp", "--variant", variant, "--n", "3", f"--k={k}"])
+        assert_input_error(capsys, rc, "--k")
+
+    @pytest.mark.parametrize("variant", ["P", "Q"])
+    @pytest.mark.parametrize("n", [3, MAX_QP_N])
+    def test_k_at_bound(self, tmp_path, variant, n):
+        k = 0.5 * math.sqrt(sys.float_info.max)
+        rc, text = run(["qp", "--variant", variant, "--n", str(n),
+                        "--k", repr(k)], tmp_path, "qp.json")
+        assert rc == 0
+        assert loads_strict(text)["k"] == k
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_nonfinite_k_exit_2(self, capsys, bad):

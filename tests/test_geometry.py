@@ -2,6 +2,7 @@
 curvature oracle."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -83,8 +84,10 @@ def reference_riemann(chart, x, jet_mode):
            + np.einsum("dae,ebc->dabc", gamma0, gamma0)
            - np.einsum("dbe,eac->dabc", gamma0, gamma0))
     rm = np.einsum("eabc,ed->abcd", rup, gfun(x))
-    B = frame.coord_to_frame
-    return np.einsum("abcd,ai,bj,ck,dl->ijkl", rm.transpose(0, 1, 3, 2), B, B, B, B)
+    comp = rm.transpose(0, 1, 3, 2)
+    for _ in range(4):
+        comp = np.tensordot(comp, frame.coord_to_frame, (0, 0))
+    return comp
 
 
 # Interior points for both jet modes, and points within 0.05 of the
@@ -226,6 +229,17 @@ class TestIntrinsicCurvature:
         comp = R.components
         assert np.abs(comp + comp.transpose(1, 0, 2, 3)).max() <= 1e-6
         assert intrinsic_tau(R) == pytest.approx(3.0, abs=1e-5)
+
+    def test_high_dimension_sphere(self):
+        # The frame change contracts one index at a time, O(n^5): one n = 16
+        # point takes about 0.1 s, where one eight-index contraction took 35 s.
+        n = 16
+        c = make_chart("hypersphere", {"R": 1.0, "n": n})
+        x = np.full(n, 1.3)
+        t0 = time.perf_counter()
+        R = intrinsic_riemann(c, x)
+        assert time.perf_counter() - t0 < 5.0
+        assert gauss_residual(second_form(c, x, frame_at(c, x)), R) <= 1e-6
 
     def test_boundary_stencil_guard(self):
         # Admissible points whose stencil leaves the domain. The stencil

@@ -2,6 +2,7 @@
 trace-constrained QP, curvature tensors, and classification."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -861,6 +862,18 @@ class TestClassification:
         assert cls.kind == "Generic"
         assert cls.lam is None
 
+    def test_quasi_umbilical_flag(self):
+        # n - 1 equal eigenvalues, at either end of the spectrum, within tol.
+        for vals, kind, quasi in [
+                ((0.5, 0.5, 1.0), "Ideal41", True), ((1.0, 1.0, 0.5), "Ideal11", True),
+                ((1.0, 1.0, 3.0), "Generic", True), ((-3.0, 1.0, 1.0), "Generic", True),
+                ((1.0, 1.0 + 1e-9, 3.0), "Generic", True),
+                ((1.0, 1.0 + 1e-6, 3.0), "Generic", False),
+                ((1.0, 2.0, 3.5), "Generic", False)]:
+            cls = classify_ideal(diag_form(*vals))
+            assert (cls.kind, cls.quasi_umbilical) == (kind, quasi), vals
+            assert type(cls.quasi_umbilical) is bool
+
     def test_single_normal_flag(self):
         h = np.zeros((2, 3, 3))
         h[0] = np.diag([1.0, 1.0, 2.0])
@@ -942,3 +955,45 @@ class TestInequalityReport:
         with pytest.raises(ValueError, match="n >= 3"):
             inequality_reports([(diag_form(1.0, 2.0, 3.0), 0.0),
                                 (diag_form(1.0, 2.0), 0.0)])
+
+    def test_family_coefficients_match_the_paper(self):
+        # delta-hat of (1.1) and delta_C of (4.1), written out as in the
+        # paper: the family coefficients (c, b) give them bit for bit.
+        rng = np.random.default_rng(43)
+        for n in range(3, 65):
+            h = rng.uniform(-1.0, 1.0, (1, n, n))
+            rep = inequality_report(SecondForm(n, 1, 0.5 * (h + h.transpose(0, 2, 1))))
+            assert rep.delta_hat == (2.0 * rep.C - (2.0 * n - 1.0) / (2.0 * n)
+                                     * rep.supCL.value)
+            assert rep.delta_C == (0.5 * rep.C + (n + 1.0) / (2.0 * n)
+                                   * rep.infCL.value)
+
+    @pytest.mark.parametrize("scale,c_tilde", [
+        (1e200, 0.0), (1.0, 1e308), (1.0, -1e308)])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_overflowing_items_rejected(self, scale, c_tilde, p):
+        h = np.zeros((p, 3, 3))
+        h[:, 0, 0] = scale
+        items = [(diag_form(1.0, 2.0, 3.0), 0.0), (SecondForm(3, p, h), c_tilde)]
+        with pytest.raises(ValueError, match=r"report item 1: max \|h\| > .* "
+                                             r"or \|c_tilde\| > .*overflow"):
+            inequality_reports(items)
+
+    @pytest.mark.parametrize("n,p", [(3, 1), (3, 2), (6, 3)])
+    def test_finite_at_range_bound(self, n, p):
+        # The largest accepted max |h| and |c_tilde|, as derived in
+        # `_check_range`; warnings are errors, so no step may overflow.
+        h_max = sys.float_info.max ** 0.25 / (8.0 * n * math.sqrt(p))
+        c_max = sys.float_info.max / (32.0 * n * n)
+        rng = np.random.default_rng(7)
+        items = []
+        for sign in (1.0, -1.0):
+            A = rng.choice([-1.0, 1.0], (p, n, n))
+            A = np.triu(A) + np.triu(A, 1).transpose(0, 2, 1)
+            items += [(SecondForm(n, p, h_max * A), sign * c_max),
+                      (SecondForm(n, p, np.full((p, n, n), h_max)), sign * c_max)]
+        for rep in inequality_reports(items):
+            assert all(math.isfinite(getattr(rep, name)) for name in (
+                "C", "meanH", "tau", "rho", "delta_hat", "delta_C",
+                "delta_c_legacy", "slack11", "slack41"))
+            assert math.isfinite(rep.infCL.value) and math.isfinite(rep.supCL.value)
