@@ -153,11 +153,12 @@ def sphere_grid(n: int, size: int) -> np.ndarray:
     Box-Muller and normalizes the first n; a point whose n normals have norm
     at most 1e-8 is dropped. No random stream is drawn, so the grid does not
     depend on the numpy version. Each node depends on its lattice point
-    alone, so the grid is the concatenation of the blocks of `_grid_blocks`,
-    which the p >= 2 extremum scans one at a time.
+    alone, so the grid is the transpose of the blocks of `_grid_blocks`
+    concatenated along their columns, which the p >= 2 extremum scans one
+    at a time.
     """
     _check_grid_size(size)
-    return np.concatenate(list(_grid_blocks(n, size, _GRID_MAX)))
+    return np.concatenate(list(_grid_blocks(n, size, _GRID_MAX)), axis=1).T
 
 
 def _check_grid_size(size: int) -> None:
@@ -169,16 +170,16 @@ def _check_grid_size(size: int) -> None:
 
 
 def _grid_blocks(n: int, size: int, block: int):
-    """The unit nodes of `sphere_grid(n, size)` in order, one block of
-    `block` lattice points at a time (fewer in the last block, and fewer
-    nodes where points are dropped)."""
+    """The unit nodes of `sphere_grid(n, size)` in order, as the columns of
+    C-ordered (n, m) blocks of m <= `block` lattice points (fewer in the last
+    block, and fewer nodes where points are dropped)."""
     if n == 3:
         for i0 in range(0, size, block):
             i = np.arange(i0, min(i0 + block, size))
             z = 1.0 - (2.0 * i + 1.0) / size
             r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
             phi = i * _GOLDEN_ANGLE
-            yield np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+            yield np.stack([r * np.cos(phi), r * np.sin(phi), z])
         return
     d = 2 * ((n + 1) // 2)
     # phi_d is the positive root of x^(d+1) = x + 1; the fixed-point map
@@ -189,18 +190,23 @@ def _grid_blocks(n: int, size: int, block: int):
     alpha = phi_d ** -np.arange(1.0, d + 1)
     count = 2 ** math.ceil(math.log2(max(2, size)))
     for i0 in range(0, count, block):
-        pts = 0.5 + np.arange(i0, min(i0 + block, count))[:, None] * alpha
+        pts = 0.5 + alpha[:, None] * np.arange(i0, min(i0 + block, count))
         pts -= np.floor(pts)            # pts % 1.0 exactly (pts > 0), but cheaper
         # 1 - u lies in (0, 1], so every radius is finite. The normals
         # overwrite the lattice points they come from.
-        radius = np.sqrt(-2.0 * np.log1p(-pts[:, 0::2]))
-        angle = 2.0 * math.pi * pts[:, 1::2]
-        np.multiply(radius, np.cos(angle), out=pts[:, 0::2])
-        np.multiply(radius, np.sin(angle, out=angle), out=pts[:, 1::2])
-        z = pts[:, :n]
-        norms = np.linalg.norm(z, axis=1)
+        radius = np.sqrt(-2.0 * np.log1p(-pts[0::2]))
+        angle = 2.0 * math.pi * pts[1::2]
+        np.multiply(radius, np.cos(angle), out=pts[0::2])
+        np.multiply(radius, np.sin(angle, out=angle), out=pts[1::2])
+        z = pts[:n]
+        # Each |z| is np.linalg.norm of the node's row, bit for bit: numpy
+        # sums up to 7 terms in sequence, as a sum down these columns does,
+        # but 8 or more in 8 interleaved partial sums, which needs the rows.
+        sq = z * z
+        norms = np.sqrt(sq.sum(axis=0) if n < 8
+                        else np.ascontiguousarray(sq.T).sum(axis=1))
         keep = norms > 1e-8
-        yield z / norms[:, None] if keep.all() else z[keep] / norms[keep, None]
+        yield z / norms if keep.all() else z[:, keep] / norms[keep]
 
 
 def _hypersurface_extrema(A: np.ndarray, modes: tuple):
@@ -242,11 +248,26 @@ def _hypersurface_extrema(A: np.ndarray, modes: tuple):
     return vals, us
 
 
-def _check_extremum_args(mode: str, n: int) -> None:
+def _h_max(n: int, p: int) -> float:
+    """The largest max |h| of an (n, p) form whose invariants stay finite.
+    Terms quadratic in h are at most P = p n^2 max|h|^2 in size, and the
+    p >= 2 Newton stop rule squares a gradient of at most 8P:
+    P <= sqrt(float_max) / 64 keeps it finite."""
+    return sys.float_info.max ** 0.25 / (8.0 * n * math.sqrt(p))
+
+
+def _check_extremum_args(mode: str, h: np.ndarray) -> None:
+    """Reject a mode other than "inf" and "sup", n < 3, and forms
+    h (B, p, n, n), finite ones, with max |h| beyond `_h_max`."""
     if mode not in ("inf", "sup"):
         raise ValueError("mode must be 'inf' or 'sup'")
+    _, p, n, _ = h.shape
     if n < 3:
         raise ValueError("hyperplane extremization needs n >= 3")
+    h_max = _h_max(n, p)
+    if not np.abs(h).max(initial=0.0) <= h_max:
+        raise ValueError(f"max |h| > {h_max:.6g}, beyond which the extrema "
+                         f"overflow")
 
 
 def _values_at(h, S, tr2, u):
@@ -259,8 +280,9 @@ def _values_at(h, S, tr2, u):
     return tr2 - 2.0 * uSu + (quad * quad).sum(-1)
 
 
-def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
-    """Grid seed plus safeguarded Riemannian Newton for forms h (B,p,n,n).
+def _grid_newton(h, grid_size: int, modes: tuple):
+    """Grid seed plus safeguarded Riemannian Newton for the forms of h, one
+    (B, p, n, n) batch or a list of (B_k, p_k, n, n) batches of one n.
 
     The grid `sphere_grid(n, grid_size)` is made and scanned one block of
     lattice points at a time (`_grid_blocks`), with u^T A u summed over the
@@ -268,97 +290,129 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
     product per row i. A block is the longest power of two of at most
     `_GRID_MAX` points whose monomial matrix fits `_GRID_BYTES`, but no
     shorter than `_GRID_MIN`, which bounds the blocks per grid and so their
-    Python overhead; each block is scanned for as many forms at once as keep
-    its (forms, p + 1, block) products within `_GRID_BYTES`. So the scan's
-    memory grows neither with the batch nor with the grid size.
+    Python overhead; each block is scanned for as many forms of one batch
+    at once as keep their (forms, p_k + 1, block) products within
+    `_GRID_BYTES`. So the scan's memory grows neither with the batches nor
+    with the grid size, and every block and its monomials serve them all.
     Each (mode, form) row keeps its own best node itself (the first least f
     for "inf", the first least -f for "sup"), so every node is made once and
-    these (M, B, n) nodes are the Newton seeds. One Newton iteration runs on
-    the sphere over all len(modes) * B (mode, form) rows, each with its own
-    sign: the restricted Hessian is clipped to be positive (for the row's
-    direction), and a backtracking line search tries the full step, then
-    its halvings, on the rows still pending until the value improves. A row
-    stops once its tangent gradient is below 1e-14 (1 + |h|^2), its full
-    step fails with a model decrease below that scale, a failed step rounds
-    back onto its current point, or no halving improves it. Every operation
-    acts on one row at a time or elementwise, so a result depends neither
-    on the batch its form came in nor on the other modes asked for. Returns (n-1) C(u-perp) at the
-    polished points (M, B), the unit points u (M, B, n), the best grid
-    values (M, B), M = len(modes), and the number of grid nodes.
+    these (M, B, n) nodes are the Newton seeds, B = sum_k B_k. One Newton
+    iteration runs on the sphere over all B * len(modes) (form, mode) rows,
+    each with its own sign: the restricted Hessian is clipped to be positive
+    (for the row's direction), and a backtracking line search tries the full
+    step, then its halvings, on the rows still pending until the value
+    improves. A row stops once its tangent gradient is below
+    1e-14 (1 + |h|^2), its full step fails with a model decrease below that
+    scale, a failed step rounds back onto its current point, or no halving
+    improves it. The rows hold their forms zero-padded to max_k p_k slices,
+    but every sum over slices takes a form's own p_k, as its batch alone
+    would: one zero slice more can regroup a sum (OpenBLAS's matrix-vector
+    kernel adds 4 columns at a time, numpy's pairwise sum 8 terms from 8
+    on). S = sum_r h_r^2 and |h|^2 come from each batch's own slices too.
+    Every operation acts on one row at a time or elementwise, so a result
+    depends neither on the batch its form came in nor on the other batches
+    or modes asked for.
+    Returns (n-1) C(u-perp) at the polished points (M, B), the unit points
+    u (M, B, n), the best grid values (M, B), M = len(modes), and the
+    number of grid nodes.
     """
-    h = np.ascontiguousarray(h)
-    B, p, n, _ = h.shape
+    h = [np.ascontiguousarray(x) for x in ([h] if isinstance(h, np.ndarray) else h)]
+    n = h[0].shape[2]
+    ps = [x.shape[1] for x in h]
+    first = np.cumsum([0] + [x.shape[0] for x in h])   # batch k: first[k]:first[k+1]
+    B = first[-1]
     signs = np.array([1.0 if mode == "inf" else -1.0 for mode in modes])
     M = signs.size
-    S = (h @ h).sum(axis=1)
-    tr2 = (h * h).sum(axis=(1, 2, 3))
+    S = [(x @ x).sum(axis=1) for x in h]
+    tr2 = [(x * x).sum(axis=(1, 2, 3)) for x in h]
 
     iu, ju = np.triu_indices(n)
-    coef = (np.concatenate([S[:, None], h], axis=1)[:, :, iu, ju]
-            * np.where(iu == ju, 1.0, 2.0))          # (B, p+1, K)
     block = _GRID_MAX
     while block > _GRID_MIN and 8 * iu.size * block > _GRID_BYTES:
         block //= 2
-    bc = max(1, _GRID_BYTES // (8 * (p + 1) * block))
+    chunks = []                  # (first form, (forms, p_k + 1, K) coefficients, |h|^2)
+    for x, Sk, t2, b1 in zip(h, S, tr2, first):
+        coef = (np.concatenate([Sk[:, None], x], axis=1)[:, :, iu, ju]
+                * np.where(iu == ju, 1.0, 2.0))
+        bc = max(1, _GRID_BYTES // (8 * coef.shape[1] * block))
+        chunks += [(b1 + b0, coef[b0:b0 + bc], t2[b0:b0 + bc])
+                   for b0 in range(0, x.shape[0], bc)]
     best = np.full((M, B), np.inf)                    # sign * f at the best node
     u = np.zeros((M, B, n))                           # the best node
     nodes = 0
     buf = np.empty((iu.size, block))
-    for U in _grid_blocks(n, grid_size, block):
-        nodes += U.shape[0]
-        Ut = np.ascontiguousarray(U.T)
-        mon = buf[:, :U.shape[0]]                     # u_i u_j, i <= j
+    for U in _grid_blocks(n, grid_size, block):      # (n, m) nodes
+        nodes += U.shape[1]
+        mon = buf[:, :U.shape[1]]                     # u_i u_j, i <= j
         k = 0
         for i in range(n):                            # the rows (i, i..n-1)
-            np.multiply(Ut[i], Ut[i:], out=mon[k:k + n - i])
+            np.multiply(U[i], U[i:], out=mon[k:k + n - i])
             k += n - i
-        for b0 in range(0, B, bc):
-            q = coef[b0:b0 + bc] @ mon                # u^T S u, u^T h_r u
-            f = tr2[b0:b0 + bc, None] - 2.0 * q[:, 0]
-            for r in range(1, p + 1):
+        for b0, coef, t2 in chunks:
+            q = coef @ mon                            # u^T S u, u^T h_r u
+            f = t2[:, None] - 2.0 * q[:, 0]
+            for r in range(1, q.shape[1]):
                 f += q[:, r] * q[:, r]
             rows = np.arange(f.shape[0])
             for m, sign in enumerate(signs):
                 # argmax f is the first least -f, so "sup" needs no negated copy
                 a = np.argmin(f, axis=1) if sign > 0 else np.argmax(f, axis=1)
                 v = sign * f[rows, a]
-                top, at = best[m, b0:b0 + bc], u[m, b0:b0 + bc]
+                top, at = best[m, b0:b0 + rows.size], u[m, b0:b0 + rows.size]
                 better = v < top
                 top[better] = v[better]
-                at[better] = U[a[better]]
+                at[better] = U[:, a[better]].T
     grid_f = signs[:, None] * best
 
-    # Newton rows are (mode, form) pairs, mode-major.
-    form = np.tile(np.arange(B), M)
-    sign = np.repeat(signs, B)
-    h, S, tr2 = h[form], S[form], tr2[form]
-    f = grid_f.flatten()                             # a copy: polished in place
-    u = u.reshape(M * B, n)                           # the seeds, polished in place
+    # Newton rows are (form, mode) pairs, form-major: batch k's rows are
+    # M first[k]:M first[k+1].
+    form = np.repeat(np.arange(B), M)
+    sign = np.tile(signs, B)
+    hp = np.zeros((B, max(ps), n, n))
+    for x, b1 in zip(h, first):
+        hp[b1:b1 + x.shape[0], :x.shape[1]] = x
+    h, S, tr2 = hp[form], np.concatenate(S)[form], np.concatenate(tr2)[form]
+    f = grid_f.T.flatten()                           # a copy: polished in place
+    u = u.transpose(1, 0, 2).reshape(B * M, n)        # the seeds, polished in place
     scale = 1.0 + tr2
     eye = np.eye(n)
-    live = np.ones(M * B, dtype=bool)
+    live = np.ones(B * M, dtype=bool)
+
+    def spans(rows):
+        """(a, b, p_k) for each batch k whose rows, in ascending `rows`, are
+        rows[a:b]."""
+        if len(ps) == 1:
+            return [(0, rows.size, ps[0])]
+        edges = np.searchsorted(rows, M * first)
+        return [(a, b, p) for a, b, p in zip(edges[:-1], edges[1:], ps) if a < b]
+
     for _ in range(_NEWTON_ITERS):
         idx = np.flatnonzero(live)
+        L = idx.size
         hl, Sl, ul, sl = h[idx], S[idx], u[idx], sign[idx]
         hu = (hl @ ul[:, None, :, None])[..., 0]    # (L, p, n)
         quad = (hu * ul[:, None, :]).sum(-1)          # (L, p)
-        g = sl[:, None] * (-4.0 * (Sl @ ul[:, :, None])[..., 0]
-                           + 4.0 * (quad[:, None, :] @ hu)[:, 0])
+        qhu, hh, qh = np.empty((L, n)), np.empty((L, n, n)), np.empty((L, n, n))
+        for a, b, p in spans(idx):      # sum_r of quad_r hu_r, hu_r^T hu_r, quad_r h_r
+            hq = hu[a:b, :p]
+            qhu[a:b] = (quad[a:b, None, :p] @ hq)[:, 0]
+            hh[a:b] = hq.transpose(0, 2, 1) @ hq
+            qh[a:b] = (quad[a:b, :p, None, None] * hl[a:b, :p]).sum(axis=1)
+        g = sl[:, None] * (-4.0 * (Sl @ ul[:, :, None])[..., 0] + 4.0 * qhu)
         gu = (g * ul).sum(-1)
         g_r = g - gu[:, None] * ul
         moving = np.sqrt((g_r * g_r).sum(-1)) > 1e-14 * scale[idx]
         live[idx[~moving]] = False
         if not moving.any():
             break
-        idx, hl, Sl, ul, sl, hu, quad, g, gu = (
-            x[moving] for x in (idx, hl, Sl, ul, sl, hu, quad, g, gu))
+        idx, hl, Sl, ul, sl, hh, qh, g, gu = (
+            x[moving] for x in (idx, hl, Sl, ul, sl, hh, qh, g, gu))
         L = idx.size
         Q, _ = np.linalg.qr(np.concatenate(
             [ul[:, :, None], np.broadcast_to(eye, (L, n, n))], axis=2))
         V = Q[:, :, 1:]                               # tangent basis at u
         Vt = V.transpose(0, 2, 1)
-        H = (sl[:, None, None] * (-4.0 * Sl + 8.0 * (hu.transpose(0, 2, 1) @ hu)
-                                  + 4.0 * (quad[:, :, None, None] * hl).sum(axis=1))
+        H = (sl[:, None, None] * (-4.0 * Sl + 8.0 * hh + 4.0 * qh)
              - gu[:, None, None] * eye)
         w, E = np.linalg.eigh(Vt @ H @ V)
         floor = 1e-8 * (1.0 + np.abs(w).max(-1))
@@ -378,7 +432,9 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
             cand = ul[pend] + t * step[pend]
             cand /= np.sqrt((cand * cand).sum(-1))[:, None]
             j = idx[pend]
-            fc = _values_at(hl[pend], Sl[pend], tr2[j], cand)
+            fc = np.concatenate([
+                _values_at(hl[pend[a:b], :p], Sl[pend[a:b]], tr2[j[a:b]], cand[a:b])
+                for a, b, p in spans(j)])
             ok = sl[pend] * fc < sl[pend] * f[j]
             u[j[ok]], f[j[ok]] = cand[ok], fc[ok]
             live[j[ok]] = True
@@ -387,18 +443,21 @@ def _grid_newton(h: np.ndarray, grid_size: int, modes: tuple):
                 break
             flat = False                 # only a failed full step converges
             t *= 0.5
-    return f.reshape(M, B), u.reshape(M, B, n), grid_f, nodes
+    return f.reshape(B, M).T, u.reshape(B, M, n).transpose(1, 0, 2), grid_f, nodes
 
 
-def _extrema(h: np.ndarray, modes: tuple, grid_size: int | None = None) -> list:
-    """`HyperplaneExtremum`s of forms h (B, p, n, n), n >= 3, all of one
-    (n, p): a list over `modes` of lists over the forms. p = 1 takes the
-    closed form, p >= 2 one `_grid_newton` call that serves every mode."""
-    B, p, n, _ = h.shape
+def _extrema(h: list, modes: tuple, grid_size: int | None = None) -> list:
+    """`HyperplaneExtremum`s of the forms of h, a list of (B_k, p_k, n, n)
+    batches of one n >= 3: a list over `modes` of lists over the forms,
+    batch after batch. A p = 1 batch comes alone and takes the closed form;
+    p >= 2 batches share one `_grid_newton` call that serves every mode."""
+    n = h[0].shape[2]
+    B = sum(x.shape[0] for x in h)
     if grid_size is not None:
         _check_grid_size(grid_size)
-    if p == 1:
-        vals, us = _hypersurface_extrema(h[:, 0], modes)
+    if h[0].shape[1] == 1:
+        (A,) = h
+        vals, us = _hypersurface_extrema(A[:, 0], modes)
         certs = [[{"method": "closed_form"} for _ in range(B)] for _ in modes]
     else:
         if grid_size is None:
@@ -428,8 +487,8 @@ def extremize_hyperplane(h: SecondForm, mode: str, *,
     results upper-bound the true infimum and `sup` results lower-bound the
     true supremum.
     """
-    _check_extremum_args(mode, h.n)
-    return _extrema(h.h[None], (mode,), grid_size)[0][0]
+    _check_extremum_args(mode, h.h[None])
+    return _extrema([h.h[None]], (mode,), grid_size)[0][0]
 
 
 def hyperplane_extrema_batch(h: np.ndarray, mode: str, *,
@@ -440,16 +499,17 @@ def hyperplane_extrema_batch(h: np.ndarray, mode: str, *,
     this is the grid+Newton path of `extremize_hyperplane`, with the same
     default grid, run on the whole batch; each value equals that function's,
     bit for bit, and the values are conservative bounds in the sense
-    documented there. Each form must pass `SecondForm`'s checks: finite
-    entries and symmetric slices.
+    documented there. Each form must pass `SecondForm`'s checks, finite
+    entries and symmetric slices, and the range check of `inequality_reports`
+    on h: max |h| within `_h_max`, beyond which the extrema overflow.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 4 or h.shape[1] < 1 or h.shape[2] != h.shape[3]:
         raise ValueError(f"h must have shape (B, p, n, n) with p >= 1, "
                          f"got {h.shape}")
-    _check_extremum_args(mode, h.shape[2])
     _check_form_entries(h)
-    return np.array([e.value for e in _extrema(h, (mode,), grid_size)[0]])
+    _check_extremum_args(mode, h)
+    return np.array([e.value for e in _extrema([h], (mode,), grid_size)[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -656,11 +716,9 @@ def classify_ideal(h: SecondForm, tol: float = 1e-8) -> IdealClassification:
 
 
 def _check_range(h: SecondForm, c_tilde: float, i: int) -> None:
-    """Reject item i, (h, c_tilde), if its report could overflow. Terms
-    quadratic in h are at most P = p n^2 max|h|^2 in size, and the p >= 2
-    Newton stop rule squares a gradient of at most 8P: P <= sqrt(float_max)
-    / 64 keeps it finite, and n(n-1) |c_tilde| <= float_max / 32 the rest."""
-    h_max = sys.float_info.max ** 0.25 / (8.0 * h.n * math.sqrt(h.p))
+    """Reject item i, (h, c_tilde), if its report could overflow: max |h|
+    beyond `_h_max`, or n(n-1) |c_tilde| beyond float_max / 32."""
+    h_max = _h_max(h.n, h.p)
     c_max = sys.float_info.max / (32.0 * h.n * h.n)
     if not (np.abs(h.h).max() <= h_max and abs(c_tilde) <= c_max):
         raise ValueError(f"report item {i}: max |h| > {h_max:.6g} or |c_tilde| "
@@ -670,25 +728,28 @@ def _check_range(h: SecondForm, c_tilde: float, i: int) -> None:
 def inequality_reports(items, *, classify_tol: float = 1e-8) -> list:
     """`InvariantReport`s of `(SecondForm, c_tilde)` items, in input order.
 
-    The forms are grouped by (n, p), and each group's extrema come from one
-    `_extrema` call for both modes: one eigendecomposition batch for p = 1,
-    one grid scan and one Newton loop for p >= 2. Every value equals that of
-    the form reported alone, bit for bit.
+    The forms are grouped by n, the p = 1 forms apart, and each group's
+    extrema come from one `_extrema` call for both modes: one
+    eigendecomposition batch for p = 1, and one grid scan and one Newton
+    loop for every p >= 2 form of the group, whatever its p. Every value
+    equals that of the form reported alone, bit for bit.
     """
-    groups = {}
+    groups = {}                          # (n, p > 1) -> p -> item indices
     for i, (h, c_tilde) in enumerate(items):
         if h.n < 3:
             raise ValueError("inequality report needs n >= 3")
         _check_range(h, c_tilde, i)
-        groups.setdefault((h.n, h.p), []).append(i)
+        groups.setdefault((h.n, h.p > 1), {}).setdefault(h.p, []).append(i)
     reports = [None] * len(items)
-    # Largest (n, p) first: its grid-scan buffers are the biggest, and
+    # Largest n first: its grid-scan buffers are the biggest, and
     # allocating them before the smaller groups' lowered the peak RSS of
-    # a mixed n = 3..6 corpus from 43.0 to 40.0 MB (glibc malloc).
-    for (n, _), idx in sorted(groups.items(), reverse=True):
+    # `verify --synthetic` on a mixed n = 3..6, p = 1..3 corpus from 33.4
+    # to 32.7 MB (glibc malloc).
+    for (n, _), by_p in sorted(groups.items(), reverse=True):
         family = (_family("P", n), _family("Q", n))
-        infs, sups = _extrema(np.array([items[i][0].h for i in idx]),
-                              ("inf", "sup"))
+        idx = [i for batch in by_p.values() for i in batch]
+        infs, sups = _extrema([np.array([items[i][0].h for i in batch])
+                               for batch in by_p.values()], ("inf", "sup"))
         for i, infCL, supCL in zip(idx, infs, sups):
             h, c_tilde = items[i]
             C = casorati_total(h)

@@ -528,6 +528,39 @@ def roadmap_forms(seed, m, blocks):
     return out
 
 
+class TestExtremumRange:
+    """The two public extremum entry points reject forms whose values would
+    overflow, with the bound of `inequality_reports`."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_overflowing_forms_rejected(self, p):
+        # At p = 2 these gave inf for "inf" and -inf for "sup", with numpy
+        # overflow warnings.
+        h = np.zeros((1, p, 3, 3))
+        h[:, 0, 0, 0] = 1e200
+        for mode in ("inf", "sup"):
+            with pytest.raises(ValueError, match=r"max \|h\| > .*overflow"):
+                hyperplane_extrema_batch(h, mode)
+            with pytest.raises(ValueError, match=r"max \|h\| > .*overflow"):
+                extremize_hyperplane(SecondForm(3, p, h[0]), mode)
+
+    @pytest.mark.parametrize("n,p", [(3, 1), (3, 2), (6, 3)])
+    def test_finite_at_range_bound(self, n, p):
+        # The largest accepted max |h|; warnings are errors, so no step may
+        # overflow.
+        h_max = sys.float_info.max ** 0.25 / (8.0 * n * math.sqrt(p))
+        rng = np.random.default_rng(11)
+        A = rng.choice([-1.0, 1.0], (p, n, n))
+        A = np.triu(A) + np.triu(A, 1).transpose(0, 2, 1)
+        h = np.array([h_max * A, np.full((p, n, n), h_max)])
+        for mode in ("inf", "sup"):
+            assert np.isfinite(hyperplane_extrema_batch(h, mode)).all()
+            assert math.isfinite(extremize_hyperplane(SecondForm(n, p, h[0]),
+                                                      mode).value)
+        with pytest.raises(ValueError, match="overflow"):
+            hyperplane_extrema_batch(np.nextafter(h, np.inf), "inf")
+
+
 class TestStreamedGrid:
     """The streamed grid and the line search reproduce the frozen whole-grid
     scan and sequential halving loop bit for bit, with less memory."""
@@ -554,8 +587,9 @@ class TestStreamedGrid:
         lattice = size if n == 3 else 2 ** math.ceil(math.log2(max(2, size)))
         blocks = list(invariants._grid_blocks(n, size, block))
         assert len(blocks) == -(-lattice // block)
-        assert all(U.shape[0] <= block for U in blocks)
-        got = np.concatenate(blocks)
+        assert all(U.shape[0] == n and U.shape[1] <= block for U in blocks)
+        assert all(U.flags.c_contiguous for U in blocks)
+        got = np.concatenate(blocks, axis=1).T
         for want in (sphere_grid(n, size), frozen_sphere_grid(n, size)):
             assert got.shape == want.shape
             assert np.array_equal(bits(got), bits(want))
@@ -923,6 +957,11 @@ class TestInequalityReport:
                     h = rng.uniform(-1.0, 1.0, (p, n, n))
                     items.append((SecondForm(n, p, 0.5 * (h + h.transpose(0, 2, 1))),
                                   c_tilde))
+        # n = 7 and p = 3: p n^2 = 147 terms in |h|^2, past numpy's
+        # 128-term pairwise block.
+        for p in (2, 3):
+            h = rng.uniform(-1.0, 1.0, (p, 7, 7))
+            items.append((SecondForm(7, p, 0.5 * (h + h.transpose(0, 2, 1))), 0.0))
         items = [items[i] for i in rng.permutation(len(items))]
         reports = inequality_reports(items, classify_tol=1e-8)
         assert len(reports) == len(items)
@@ -936,6 +975,45 @@ class TestInequalityReport:
                     assert np.array_equal(got.u, want.u)
                 else:
                     assert got == want, name
+
+    def test_reports_match_single_form_across_slice_counts(self):
+        # Every p >= 2 form of one n shares a grid scan and a Newton loop,
+        # whatever its p: p = 2 and 3 beside p = 4, 5, 8 and 9 (a zero slice
+        # more regroups OpenBLAS's matrix-vector sums from 4 columns on, and
+        # numpy's pairwise sum from 8 terms on).
+        rng = np.random.default_rng(29)
+        items = []
+        for n in (3, 5):
+            for p in (2, 3, 4, 5, 8, 9):
+                for _ in range(2):
+                    h = rng.uniform(-1.0, 1.0, (p, n, n))
+                    items.append((SecondForm(n, p, 0.5 * (h + h.transpose(0, 2, 1))),
+                                  0.0))
+        for (sf, c_tilde), rep in zip(items, inequality_reports(items)):
+            alone = inequality_report(sf, c_tilde)
+            for got, want in ((rep.infCL, alone.infCL), (rep.supCL, alone.supCL)):
+                assert bits(got.value) == bits(want.value)
+                assert np.array_equal(bits(got.u), bits(want.u))
+            assert (rep.delta_hat, rep.delta_C) == (alone.delta_hat, alone.delta_C)
+
+    def test_one_grid_pass_per_dimension(self, monkeypatch):
+        # p = 2 and p = 3 forms of one n, and a p = 1 form, which takes the
+        # closed form: one pass over the sphere grid of n serves them all.
+        calls = []
+        grid_blocks = invariants._grid_blocks
+
+        def counted(n, size, block):
+            calls.append(n)
+            return grid_blocks(n, size, block)
+
+        monkeypatch.setattr(invariants, "_grid_blocks", counted)
+        rng = np.random.default_rng(31)
+        items = []
+        for p in (2, 3, 1, 2):
+            h = rng.uniform(-1.0, 1.0, (p, 4, 4))
+            items.append((SecondForm(4, p, 0.5 * (h + h.transpose(0, 2, 1))), 0.0))
+        inequality_reports(items)
+        assert calls == [4]
 
     def test_reports_certificates(self):
         h = np.zeros((2, 4, 4))
