@@ -500,8 +500,9 @@ def hyperplane_extrema_batch(h: np.ndarray, mode: str, *,
     default grid, run on the whole batch; each value equals that function's,
     bit for bit, and the values are conservative bounds in the sense
     documented there. Each form must pass `SecondForm`'s checks, finite
-    entries and symmetric slices, and the range check of `inequality_reports`
-    on h: max |h| within `_h_max`, beyond which the extrema overflow.
+    entries and symmetric slices, and the bound of `inequality_reports`,
+    max |h| <= float_max^(1/4) / (8 n sqrt(p)), beyond which the extrema
+    overflow.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 4 or h.shape[1] < 1 or h.shape[2] != h.shape[3]:
