@@ -171,8 +171,15 @@ def _synthetic_from_dict(data: dict) -> tuple:
     if n > MAX_SYNTHETIC_N:
         raise ValueError(f"synthetic n = {n} exceeds the limit "
                          f"MAX_SYNTHETIC_N = {MAX_SYNTHETIC_N}")
+    todo = [data["h"]]  # each entry of h follows the rule of n, p and c_tilde
+    while todo:
+        x = todo.pop()
+        if isinstance(x, list):
+            todo += x
+        else:
+            _synthetic_number(x, "h entry")
     h = np.asarray(data["h"], dtype=float)
-    return SecondForm(n, p, h), c_tilde  # validates shape, finiteness, symmetry
+    return SecondForm(n, p, h), c_tilde  # validates shape and symmetry
 
 
 def _report_dict(rep: InvariantReport, frame_condition: float | None) -> dict:
@@ -416,16 +423,16 @@ def _cmd_verify(args) -> int:
             if not s >= -args.tol_algebraic:  # a NaN slack fails
                 violations.append(f"{label}: slack {s:.3e}")
 
-    print(f"verify: {len(labels)} inputs checked, {len(violations)} violations")
+    lines = [f"verify: {len(labels)} inputs checked, {len(violations)} violations"]
     if skipped:
         reasons = ", ".join(f"{r} {k}" for r, k in skipped.items())
-        print(f"  skipped: {skipped.total()} ({reasons})")
+        lines.append(f"  skipped: {skipped.total()} ({reasons})")
     if worst_slack[0]:
-        print(f"  worst slack: {worst_slack[1]:.6e} at {worst_slack[0]}")
+        lines.append(f"  worst slack: {worst_slack[1]:.6e} at {worst_slack[0]}")
     if worst_gauss[0]:
-        print(f"  worst Gauss residual: {worst_gauss[1]:.6e} at {worst_gauss[0]}")
-    for v in violations[:10]:
-        print(f"  VIOLATION {v}")
+        lines.append(f"  worst Gauss residual: {worst_gauss[1]:.6e} at {worst_gauss[0]}")
+    lines += [f"  VIOLATION {v}" for v in violations[:10]]
+    _emit("\n".join(lines) + "\n", args.out)
     return 1 if violations else 0
 
 

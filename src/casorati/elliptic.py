@@ -1,14 +1,13 @@
 """Jacobi elliptic functions, the complete elliptic integral K, the closed-form
 integral of sd^2, and adaptive quadrature.
 
-The function values are produced by the descending Landen / arithmetic-geometric
-mean recursion (DLMF 22.20), which converges quadratically and is uniformly
-accurate for every modulus k < 1. The same sweep yields Jacobi's zeta function
-and E(k)/K(k) (A&S 17.6), hence Jacobi's epsilon function and the integral of
-sd^2 in closed form (DLMF 22.16(ii)-(iii)). The adaptive Simpson rule is kept
-as a general-purpose integrator and as an independent oracle for that closed
-form.
-"""
+One arithmetic-geometric mean sequence of (1, k') per evaluation gives both K
+and the table of the descending Landen recursion (DLMF 22.20), which produces
+the function values; it converges quadratically and is uniformly accurate for
+every modulus k < 1. The same sweep yields Jacobi's zeta function and E(k)/K(k)
+(A&S 17.6), hence Jacobi's epsilon function and the integral of sd^2 in closed
+form (DLMF 22.16(ii)-(iii)). The adaptive Simpson rule is a general-purpose
+integrator; no computation in the package calls it."""
 
 from __future__ import annotations
 
@@ -58,19 +57,24 @@ def _check_modulus(k: float) -> None:
         raise ValueError(f"modulus k must lie in [0, 1), got {k!r}")
 
 
-def _agm(a: float, b: float) -> float:
-    for _ in range(_MAX_AGM_ITER):
-        if abs(a - b) <= 4.0 * _EPS * abs(a):
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
+def _agm_table(k: float):
+    """``(k', a, c, K)`` from the AGM sequence of (1, k') (DLMF 22.20(ii)): the
+    tables a_0 = 1, ..., a_N and c_0 = k, c_{n+1} = (a_n - b_n) / 2, stopped
+    once c_N <= 4 eps, and K(k) = pi / (2 a_N)."""
+    kp = math.sqrt((1.0 - k) * (1.0 + k))
+    a, b, c = [1.0], kp, [k]
+    while c[-1] > 4.0 * _EPS and len(a) < _MAX_AGM_ITER:
+        x = a[-1]
+        a.append(0.5 * (x + b))
+        c.append(0.5 * (x - b))
+        b = math.sqrt(x * b)
+    return kp, a, c, math.pi / (2.0 * a[-1])
 
 
 def complete_K(k: float) -> float:
     """Complete elliptic integral of the first kind, K(k) = pi / (2 agm(1, k'))."""
     _check_modulus(k)
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    return math.pi / (2.0 * _agm(1.0, kp))
+    return _agm_table(k)[3]
 
 
 def _descend(u: float, k: float):
@@ -80,22 +84,10 @@ def _descend(u: float, k: float):
     zeta function Z(u) = sum c_n sin(phi_n) and the table c_0 = k, c_1, ...,
     c_N. Z is 2K-periodic, so the reduction of u modulo 4K leaves it unchanged.
     """
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    K = math.pi / (2.0 * _agm(1.0, kp))
+    kp, a, c, K = _agm_table(k)
     # sn, cn are 4K-periodic and dn is 2K-periodic; reduce to keep the
     # amplified phase 2^N a_N u at a size where sin() stays accurate.
     ured = u - 4.0 * K * math.floor(u / (4.0 * K) + 0.5)
-
-    a = [1.0]
-    b = [kp]
-    c = [k]
-    while c[-1] > 4.0 * _EPS and len(a) < _MAX_AGM_ITER:
-        an = 0.5 * (a[-1] + b[-1])
-        bn = math.sqrt(a[-1] * b[-1])
-        cn_ = 0.5 * (a[-1] - b[-1])
-        a.append(an)
-        b.append(bn)
-        c.append(cn_)
     N = len(a) - 1
 
     phi = (2.0 ** N) * a[N] * ured

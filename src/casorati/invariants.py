@@ -381,8 +381,6 @@ def _grid_newton(h, grid_size: int, modes: tuple):
     def spans(rows):
         """(a, b, p_k) for each batch k whose rows, in ascending `rows`, are
         rows[a:b]."""
-        if len(ps) == 1:
-            return [(0, rows.size, ps[0])]
         edges = np.searchsorted(rows, M * first)
         return [(a, b, p) for a, b, p in zip(edges[:-1], edges[1:], ps) if a < b]
 

@@ -258,6 +258,20 @@ class TestNonFiniteInput:
                            "synthetic c_tilde must be a finite number", shown)
 
     @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("bad,shown", [
+        (True, "true"), ("0", '"0"'), (None, "null"), ({"x": 1}, '{"x": 1}'),
+        (10 ** 400, "1" + "0" * 400)],
+        ids=["true", "string", "null", "object", "beyond-float"])
+    def test_non_numeric_h_entry(self, tmp_path, capsys, command, bad, shown):
+        # A float array would read true as 1.0 and "0" as 0.0 (a form
+        # reported as Ideal41, exit 0), and overflows on an integer beyond the
+        # float range.
+        entry = {"n": 3, "p": 1, "h": [[[1, 0, 0], [0, bad, 0], [0, 0, 2]]]}
+        path = write_synthetic(tmp_path, [entry] if command == "verify" else entry)
+        assert_input_error(capsys, main([command, "--synthetic", path]),
+                           "synthetic h entry must be a finite number", shown)
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
     @pytest.mark.parametrize("key,bad", [("n", -1), ("n", 0), ("p", -2),
                                          ("p", 0)])
     def test_dimension_below_one(self, tmp_path, capsys, command, key, bad):
@@ -743,6 +757,18 @@ class TestVerify:
         assert rc == 0
         assert lines == ["verify: 12 inputs checked, 0 violations",
                          f"  worst slack: {slacks[worst]:.6e} at entry {worst}"]
+
+    @pytest.mark.parametrize("synthetic", [True, False],
+                             ids=["synthetic", "chart-violation"])
+    def test_out_writes_the_summary(self, tmp_path, capsys, synthetic):
+        command = (["verify", "--synthetic",
+                    write_synthetic(tmp_path, [identity_form()], "corpus.json")]
+                   if synthetic else self.SPHERE + ["--tol-geometric", "0"])
+        rc = main(command)
+        shown = capsys.readouterr().out
+        assert rc == (0 if synthetic else 1)
+        assert run(command, tmp_path, "summary.txt") + (
+            capsys.readouterr().out,) == (rc, shown, "")
 
     def test_bad_entry_mid_corpus_exit_2(self, tmp_path, capsys):
         corpus = [identity_form() for _ in range(5)]

@@ -13,6 +13,7 @@ import pytest
 
 from casorati.elliptic import (
     QuadratureError,
+    _descend,
     _jacobi_sd_squared_integral,
     complete_K,
     integrate,
@@ -38,6 +39,100 @@ def fixed_simpson(f, a, b, panels=20000):
     ys = np.array([f(x) for x in xs])
     h = (b - a) / (2 * panels)
     return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
+
+
+# The kernel as it was when K and the Landen table came from two AGM loops
+# with different stop rules, frozen: the one shared sequence must give the
+# same K, sn, cn, dn, zeta, table and integral of sd^2, bit for bit.
+FROZEN_EPS = 2.220446049250313e-16
+
+
+def frozen_agm(a, b):
+    for _ in range(60):
+        if abs(a - b) <= 4.0 * FROZEN_EPS * abs(a):
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b)
+
+
+def frozen_complete_K(k):
+    kp = math.sqrt((1.0 - k) * (1.0 + k))
+    return math.pi / (2.0 * frozen_agm(1.0, kp))
+
+
+def frozen_descend(u, k):
+    kp = math.sqrt((1.0 - k) * (1.0 + k))
+    K = math.pi / (2.0 * frozen_agm(1.0, kp))
+    ured = u - 4.0 * K * math.floor(u / (4.0 * K) + 0.5)
+    a = [1.0]
+    b = [kp]
+    c = [k]
+    while c[-1] > 4.0 * FROZEN_EPS and len(a) < 60:
+        an = 0.5 * (a[-1] + b[-1])
+        bn = math.sqrt(a[-1] * b[-1])
+        cn_ = 0.5 * (a[-1] - b[-1])
+        a.append(an)
+        b.append(bn)
+        c.append(cn_)
+    N = len(a) - 1
+    phi = (2.0 ** N) * a[N] * ured
+    zeta = 0.0
+    for n in range(N, 0, -1):
+        sin_phi = math.sin(phi)
+        zeta += c[n] * sin_phi
+        s = c[n] / a[n] * sin_phi
+        s = max(-1.0, min(1.0, s))
+        phi = 0.5 * (phi + math.asin(s))
+    sn = math.sin(phi)
+    cn = math.cos(phi)
+    dn = math.sqrt(max(kp * kp, 1.0 - (k * sn) * (k * sn)))
+    return sn, cn, dn, zeta, c
+
+
+def frozen_sd_squared_integral(u, k):
+    sn, cn, dn, zeta, c = frozen_descend(u, k)
+    e_over_k = 1.0 - 0.5 * sum(2.0 ** n * cj * cj for n, cj in enumerate(c))
+    epsilon = zeta + e_over_k * u
+    k2 = k * k
+    kp2 = (1.0 - k) * (1.0 + k)
+    return (epsilon - kp2 * u - k2 * sn * cn / dn) / (k2 * kp2)
+
+
+def bits(*values):
+    """Exact spellings: float.hex tells -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+def frozen_corpus():
+    """Seeded (u, k) pairs: the special moduli, uniform moduli, moduli near 0
+    and near 1; at each, u = +-0, multiples of K and uniform arguments."""
+    rng = np.random.default_rng(23)
+    ks = ([0.0, 1e-14, HALF, 1.0 - 1e-12] + list(rng.uniform(0.0, 1.0, 150))
+          + list(1.0 - 10.0 ** -rng.uniform(1.0, 15.0, 50))
+          + list(10.0 ** -rng.uniform(1.0, 15.0, 30)))
+    for k in ks:
+        K = frozen_complete_K(float(k))
+        for u in [0.0, -0.0, K, -2.0 * K, 3.5 * K, *rng.uniform(-60.0, 60.0, 8)]:
+            yield float(u), float(k)
+
+
+class TestFrozenKernel:
+    def test_complete_K(self):
+        rng = np.random.default_rng(5)
+        for k in [0.0, 1e-14, HALF, 1.0 - 1e-12, *rng.uniform(0.0, 1.0, 2000),
+                  *(1.0 - 10.0 ** -rng.uniform(1.0, 15.0, 500))]:
+            assert bits(complete_K(float(k))) == bits(frozen_complete_K(float(k))), k
+
+    def test_descend_and_public_values(self):
+        for u, k in frozen_corpus():
+            sn, cn, dn, zeta, c = frozen_descend(u, k)
+            got = _descend(u, k)
+            assert bits(*got[:4]) + bits(*got[4]) == (
+                bits(sn, cn, dn, zeta) + bits(*c)), (u, k)
+            if k >= 1e-14:  # below, the public functions take the circular limit
+                t = jacobi_elliptic(u, k)
+                assert bits(t.sn, t.cn, t.dn, sd_squared_integral(u, k)) == bits(
+                    sn, cn, dn, frozen_sd_squared_integral(u, k)), (u, k)
 
 
 class TestJacobiElliptic:

@@ -2,10 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from casorati.elliptic import complete_K, integrate, jacobi_sd
+from casorati.elliptic import complete_K
 from casorati.immersions import (
     CATALOG_NAMES,
     DomainError,
@@ -74,15 +75,21 @@ class TestPositions:
         assert np.linalg.norm(pos) < 1e-8
 
     def test_chen_height_matches_quadrature(self):
+        # The height is half the integral of sd(a s, 1/sqrt 2)^2 over [0, t]:
+        # mpmath's quadrature of mpmath's Jacobi functions, in panels split at
+        # the quarter period K/a.
         K = complete_K(HALF)
         for a in (0.5, 1.0, 2.0):
             c = make_chart("chen_ideal", {"a": a})
+            sd2 = lambda s: (mpmath.ellipfun("sn", a * s, m=0.5)
+                             / mpmath.ellipfun("dn", a * s, m=0.5)) ** 2
             # Near the axis, inside and past the quarter period K/a, and near
             # the far end 2K/a of the profile.
             for t in (1e-3, 0.05, 0.9 / a, K / a, 1.3 * K / a, 2.0 * K / a - 1e-3):
                 pos = c._position(np.array([t, 0.2, 0.4]))
-                oracle = 0.5 * integrate(lambda s: jacobi_sd(a * s, HALF) ** 2,
-                                         0.0, t, tol=1e-12).value
+                nodes = [0.0] + [K / a] * (t > K / a) + [t]
+                with mpmath.workdps(25):
+                    oracle = float(0.5 * mpmath.quad(sd2, nodes))
                 assert pos[-1] == pytest.approx(oracle, abs=1e-10), (a, t)
 
 
