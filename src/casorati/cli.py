@@ -156,6 +156,15 @@ def _synthetic_number(value, what: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+def _load_synthetic(path: str):
+    """The JSON value of the synthetic input file `path`. One nested too
+    deeply for the parser is bad input, like malformed JSON, not a crash."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"synthetic file {path} nests too deeply") from None
+
+
 def _synthetic_from_dict(data: dict) -> tuple:
     if not isinstance(data, dict):
         raise ValueError("synthetic input must be a JSON object {n, p, c_tilde, h}")
@@ -289,8 +298,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_report(args) -> int:
     if args.synthetic:
         _reject_chart_flags(args)
-        sf, c_file = _synthetic_from_dict(
-            json.loads(Path(args.synthetic).read_text(encoding="utf-8")))
+        sf, c_file = _synthetic_from_dict(_load_synthetic(args.synthetic))
         c_tilde = args.c_tilde if args.c_tilde is not None else c_file
         cond, jet_mode = None, None
     else:
@@ -365,7 +373,7 @@ def _cmd_verify(args) -> int:
     skipped = Counter()  # reason -> points of the chart grid not checked
     if args.synthetic:
         _reject_chart_flags(args)
-        corpus = json.loads(Path(args.synthetic).read_text(encoding="utf-8"))
+        corpus = _load_synthetic(args.synthetic)
         if isinstance(corpus, dict):
             corpus = [corpus]
         if not isinstance(corpus, list):

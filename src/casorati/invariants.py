@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import SecondForm, _check_form_entries, _gauss_riemann
+from .geometry import SecondForm, _gauss_riemann
 
 __all__ = [
     "HyperplaneExtremum",
@@ -26,7 +26,6 @@ __all__ = [
     "casorati_total",
     "casorati_hyperplane",
     "extremize_hyperplane",
-    "hyperplane_extrema_batch",
     "sphere_grid",
     "tau_from_h",
     "proof_polynomial",
@@ -256,20 +255,6 @@ def _h_max(n: int, p: int) -> float:
     return sys.float_info.max ** 0.25 / (8.0 * n * math.sqrt(p))
 
 
-def _check_extremum_args(mode: str, h: np.ndarray) -> None:
-    """Reject a mode other than "inf" and "sup", n < 3, and forms
-    h (B, p, n, n), finite ones, with max |h| beyond `_h_max`."""
-    if mode not in ("inf", "sup"):
-        raise ValueError("mode must be 'inf' or 'sup'")
-    _, p, n, _ = h.shape
-    if n < 3:
-        raise ValueError("hyperplane extremization needs n >= 3")
-    h_max = _h_max(n, p)
-    if not np.abs(h).max(initial=0.0) <= h_max:
-        raise ValueError(f"max |h| > {h_max:.6g}, beyond which the extrema "
-                         f"overflow")
-
-
 def _values_at(h, S, tr2, u):
     """(n-1) C(u-perp) = |h|^2 - 2 u^T S u + sum_r (u^T h_r u)^2 for forms h
     (..., p, n, n), S = sum_r h_r^2 (..., n, n), tr2 (...) and points u
@@ -444,23 +429,21 @@ def _grid_newton(h, grid_size: int, modes: tuple):
     return f.reshape(B, M).T, u.reshape(B, M, n).transpose(1, 0, 2), grid_f, nodes
 
 
-def _extrema(h: list, modes: tuple, grid_size: int | None = None) -> list:
+def _extrema(h: list, modes: tuple) -> list:
     """`HyperplaneExtremum`s of the forms of h, a list of (B_k, p_k, n, n)
     batches of one n >= 3: a list over `modes` of lists over the forms,
     batch after batch. A p = 1 batch comes alone and takes the closed form;
-    p >= 2 batches share one `_grid_newton` call that serves every mode."""
+    p >= 2 batches share one `_grid_newton` call on the grid of
+    4096 2^(n-3) nodes, at most 32768, that serves every mode."""
     n = h[0].shape[2]
     B = sum(x.shape[0] for x in h)
-    if grid_size is not None:
-        _check_grid_size(grid_size)
     if h[0].shape[1] == 1:
         (A,) = h
         vals, us = _hypersurface_extrema(A[:, 0], modes)
         certs = [[{"method": "closed_form"} for _ in range(B)] for _ in modes]
     else:
-        if grid_size is None:
-            grid_size = min(32768, 4096 * 2 ** (n - 3))
-        vals, us, grid_f, nodes = _grid_newton(h, grid_size, modes)
+        vals, us, grid_f, nodes = _grid_newton(
+            h, min(32768, 4096 * 2 ** (n - 3)), modes)
         certs = [[{"method": "grid_newton", "grid_nodes": nodes,
                    "refine_iters": _NEWTON_ITERS,
                    "grid_value": float(gv) / (n - 1)} for gv in row]
@@ -470,45 +453,30 @@ def _extrema(h: list, modes: tuple, grid_size: int | None = None) -> list:
             for m, mode in enumerate(modes)]
 
 
-def extremize_hyperplane(h: SecondForm, mode: str, *,
-                         grid_size: int | None = None) -> HyperplaneExtremum:
+def extremize_hyperplane(h: SecondForm, mode: str) -> HyperplaneExtremum:
     """Extremize C(u-perp) over unit u.
 
     Hypersurfaces (p = 1) take the exact spectral closed form of
-    `_hypersurface_extrema`; the certificate is ``{"method": "closed_form"}``
-    and `grid_size` is unused. For p >= 2 this is `_grid_newton` on the one
-    form: a deterministic quasi-uniform sphere grid (`sphere_grid`, by
-    default 4096 2^(n-3) nodes up to 32768) followed by a safeguarded Newton
-    polish on the sphere; the certificate gives the method
-    ``"grid_newton"``, the grid nodes, the Newton iteration cap and the best
-    grid value. The polished point is always feasible, so there `inf`
-    results upper-bound the true infimum and `sup` results lower-bound the
-    true supremum.
+    `_hypersurface_extrema`; the certificate is ``{"method": "closed_form"}``.
+    For p >= 2 this is `_grid_newton` on the one form: a deterministic
+    quasi-uniform sphere grid (`sphere_grid`, 4096 2^(n-3) nodes up to
+    32768) followed by a safeguarded Newton polish on the sphere; the
+    certificate gives the method ``"grid_newton"``, the grid nodes, the
+    Newton iteration cap and the best grid value. The polished point is
+    always feasible, so there `inf` results upper-bound the true infimum
+    and `sup` results lower-bound the true supremum. Each result equals
+    that of an `inequality_reports` batch holding the form, bit for bit.
+    A form with max |h| beyond `_h_max`, as in a report, is rejected.
     """
-    _check_extremum_args(mode, h.h[None])
-    return _extrema([h.h[None]], (mode,), grid_size)[0][0]
-
-
-def hyperplane_extrema_batch(h: np.ndarray, mode: str, *,
-                             grid_size: int | None = None) -> np.ndarray:
-    """Hyperplane extrema C(u-perp) for a batch of forms h of shape (B,p,n,n).
-
-    p = 1 is exact (the closed form of `_hypersurface_extrema`). For p >= 2
-    this is the grid+Newton path of `extremize_hyperplane`, with the same
-    default grid, run on the whole batch; each value equals that function's,
-    bit for bit, and the values are conservative bounds in the sense
-    documented there. Each form must pass `SecondForm`'s checks, finite
-    entries and symmetric slices, and the bound of `inequality_reports`,
-    max |h| <= float_max^(1/4) / (8 n sqrt(p)), beyond which the extrema
-    overflow.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 4 or h.shape[1] < 1 or h.shape[2] != h.shape[3]:
-        raise ValueError(f"h must have shape (B, p, n, n) with p >= 1, "
-                         f"got {h.shape}")
-    _check_form_entries(h)
-    _check_extremum_args(mode, h)
-    return np.array([e.value for e in _extrema([h], (mode,), grid_size)[0]])
+    if mode not in ("inf", "sup"):
+        raise ValueError("mode must be 'inf' or 'sup'")
+    if h.n < 3:
+        raise ValueError("hyperplane extremization needs n >= 3")
+    h_max = _h_max(h.n, h.p)
+    if not np.abs(h.h).max() <= h_max:
+        raise ValueError(f"max |h| > {h_max:.6g}, beyond which the extrema "
+                         f"overflow")
+    return _extrema([h.h[None]], (mode,))[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +648,8 @@ def classify_ideal(h: SecondForm, tol: float = 1e-8) -> IdealClassification:
     Checks in order: totally geodesic, umbilical, the two ideal spectra
     {2l,...,2l,l} and {l,...,l,2l} (up to a global sign), otherwise Generic.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:        # false for a NaN tol too
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     n = h.n
     hh = h.h
     norm = float(np.abs(hh).max(initial=0.0))

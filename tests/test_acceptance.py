@@ -24,8 +24,8 @@ from casorati.geometry import (
 from casorati.immersions import make_chart
 from casorati.invariants import (
     extremize_hyperplane,
-    hyperplane_extrema_batch,
     inequality_report,
+    inequality_reports,
     oprea_qp,
     qp_objective,
     ricci_values,
@@ -105,8 +105,9 @@ def test_02_inequality_slacks_nonnegative(corpus):
     count = 0
     for (n, p), (h, _) in corpus.items():
         C, n2H2, _ = batch_scalars(h)
-        inf_cl = hyperplane_extrema_batch(h, "inf", grid_size=512)
-        sup_cl = hyperplane_extrema_batch(h, "sup", grid_size=512)
+        reports = inequality_reports([(SecondForm(n, p, x), 0.0) for x in h])
+        inf_cl = np.array([rep.infCL.value for rep in reports])
+        sup_cl = np.array([rep.supCL.value for rep in reports])
         tau = 0.5 * (n2H2 - n * C)
         rho = 2.0 * tau / (n * (n - 1.0))
         delta_hat = 2.0 * C - (2.0 * n - 1.0) / (2.0 * n) * sup_cl

@@ -236,6 +236,15 @@ class TestNonFiniteInput:
         assert_input_error(capsys, main(["verify", "--synthetic", path]))
 
     @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_deeply_nested_file(self, tmp_path, capsys, command):
+        # json.loads raised RecursionError: a traceback and exit 1, the
+        # exit code of a violation.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 3000 + "]" * 3000, encoding="utf-8")
+        assert_input_error(capsys, main([command, "--synthetic", str(path)]),
+                           "synthetic file", str(path), "nests too deeply")
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
     @pytest.mark.parametrize("key,bad,shown", [
         ("n", 3.7, "3.7"), ("p", 1.2, "1.2"), ("p", True, "true"),
         ("n", "3", '"3"')])

@@ -123,6 +123,14 @@ class TestSecondFormType:
         h[0, 0, 1] = 1.0
         with pytest.raises(ValueError):
             SecondForm(3, 1, h)
+        # Within 1e-8 (1 + max |h|) of the form's own scale, in any slice.
+        h = np.zeros((2, 3, 3))
+        h[0, 2, 2] = 1e9
+        h[1, 0, 1] = 1.0
+        SecondForm(3, 2, h)
+        h[1, 0, 1] = 11.0
+        with pytest.raises(ValueError, match="symmetric"):
+            SecondForm(3, 2, h)
 
     def test_nonfinite_validation(self):
         for bad in (math.nan, math.inf, -math.inf):

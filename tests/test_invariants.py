@@ -17,7 +17,6 @@ from casorati.invariants import (
     casorati_total,
     classify_ideal,
     extremize_hyperplane,
-    hyperplane_extrema_batch,
     inequality_report,
     inequality_reports,
     oprea_qp,
@@ -125,6 +124,11 @@ class TestExtremize:
         with pytest.raises(ValueError):
             extremize_hyperplane(diag_form(1.0, 1.0, 2.0), "max")
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_needs_three_dimensions(self, p):
+        with pytest.raises(ValueError, match="n >= 3"):
+            extremize_hyperplane(diag_form(1.0, 2.0, p=p), "inf")
+
     def test_grid_is_unit(self):
         for n in (3, 4, 5):
             U = sphere_grid(n, 700)
@@ -191,14 +195,6 @@ class TestHypersurfaceClosedForm:
             assert extremize_hyperplane(sf, "inf").value == pytest.approx(
                 inf, rel=1e-12, abs=1e-12)
 
-    def test_batch_matches_scalar(self):
-        forms = [sf for sf in random_hypersurface_forms() if sf.n == 5]
-        h = np.stack([sf.h for sf in forms])
-        for mode in ("inf", "sup"):
-            batch = hyperplane_extrema_batch(h, mode)
-            scalar = [extremize_hyperplane(sf, mode).value for sf in forms]
-            assert np.array_equal(batch, scalar)
-
     def test_signatures(self):
         # definite, indefinite, semidefinite and zero spectra
         cases = [((1.0, 2.0, 3.0), 13.0 / 2, 5.0 / 2),
@@ -237,31 +233,7 @@ def random_forms(n, p, count, seed):
 
 
 class TestGridNewton:
-    """p >= 2: one grid+Newton path behind both extremum entry points."""
-
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_batch_matches_scalar(self, n, p):
-        h = random_forms(n, p, 12, seed=10 * n + p)
-        for mode in ("inf", "sup"):
-            batch = hyperplane_extrema_batch(h, mode, grid_size=512)
-            scalar = [extremize_hyperplane(SecondForm(n, p, x), mode,
-                                           grid_size=512).value for x in h]
-            assert np.array_equal(batch, scalar), mode
-            # the same symmetric forms, as a non-contiguous view
-            view = h.transpose(0, 1, 3, 2)
-            assert np.array_equal(
-                hyperplane_extrema_batch(view, mode, grid_size=512), batch)
-
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_batch_matches_scalar_at_defaults(self, n):
-        # The batch defaulted to 512 nodes and the scalar path to
-        # 4096 2^(n-3): the two disagreed on most p = 2 forms.
-        h = random_forms(n, 2, 4, seed=11 * n)
-        for mode in ("inf", "sup"):
-            scalar = [extremize_hyperplane(SecondForm(n, 2, x), mode).value
-                      for x in h]
-            assert np.array_equal(hyperplane_extrema_batch(h, mode), scalar), mode
+    """p >= 2: the grid+Newton path behind every extremum."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_point_is_feasible(self, n):
@@ -286,38 +258,6 @@ class TestGridNewton:
         assert inf.value <= inf.certificate["grid_value"]
         assert sup.value >= sup.certificate["grid_value"]
 
-    def test_batch_rejects_bad_input(self):
-        for p in (1, 2):
-            with pytest.raises(ValueError):
-                hyperplane_extrema_batch(np.zeros((4, p, 2, 2)), "inf")
-        with pytest.raises(ValueError):
-            hyperplane_extrema_batch(np.zeros((4, 2, 3, 3)), "max")
-
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_batch_rejects_what_second_form_rejects(self, p):
-        # Each bad array was accepted: an asymmetric p = 2 form gave inf 0.5,
-        # a NaN entry at p = 2 gave inf, and an inf entry at p = 1 gave nan.
-        h = random_forms(3, p, 3, seed=p)
-        asym, nan, big = h.copy(), h.copy(), h.copy()
-        asym[1, 0, 0, 1] += 1e-3
-        asym[0] *= 1e9        # symmetry is judged on each form's own scale
-        nan[2, p - 1, 1, 1] = np.nan
-        big[0, 0, 2, 2] = np.inf
-        for bad, b, match in ((asym, 1, "symmetric"), (nan, 2, "finite"),
-                              (big, 0, "finite")):
-            with pytest.raises(ValueError, match=match):
-                SecondForm(3, p, bad[b])
-            for mode in ("inf", "sup"):
-                with pytest.raises(ValueError, match=match):
-                    hyperplane_extrema_batch(bad, mode)
-        asym[1, 0, 0, 1] -= 1e-3
-        asym[0, 0, 0, 1] += 1.0   # within 1e-8 (1 + max |h|) of its form
-        SecondForm(3, p, asym[0])
-        assert np.isfinite(hyperplane_extrema_batch(asym, "sup")).all()
-        for shape in ((3, 3, 3), (2, 0, 3, 3), (2, p, 3, 4), (1, 2, p, 3, 3)):
-            with pytest.raises(ValueError, match="shape"):
-                hyperplane_extrema_batch(np.zeros(shape), "inf")
-
     @pytest.mark.parametrize("size", [0, -1, -4096, 1.5, 2.5, 4.0, True,
                                       np.float64(8.0)])
     def test_grid_size_below_one(self, size):
@@ -330,25 +270,10 @@ class TestGridNewton:
         for n in (3, 4):
             with pytest.raises(ValueError, match=match):
                 sphere_grid(n, size)
-            h = random_forms(n, 2, 2, seed=n)
-            with pytest.raises(ValueError, match=match):
-                extremize_hyperplane(SecondForm(n, 2, h[0]), "inf", grid_size=size)
-            with pytest.raises(ValueError, match=match):
-                hyperplane_extrema_batch(h, "sup", grid_size=size)
 
     def test_numpy_integer_grid_size(self):
         for n in (3, 4):
             assert np.array_equal(sphere_grid(n, np.int64(40)), sphere_grid(n, 40))
-            h = random_forms(n, 2, 2, seed=n)
-            assert np.array_equal(
-                hyperplane_extrema_batch(h, "inf", grid_size=np.int32(64)),
-                hyperplane_extrema_batch(h, "inf", grid_size=64))
-
-    def test_zero_form(self):
-        for mode in ("inf", "sup"):
-            assert np.array_equal(
-                hyperplane_extrema_batch(np.zeros((3, 2, 4, 4)), mode),
-                np.zeros(3))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("p", [2, 3])
@@ -529,20 +454,18 @@ def roadmap_forms(seed, m, blocks):
 
 
 class TestExtremumRange:
-    """The two public extremum entry points reject forms whose values would
-    overflow, with the bound of `inequality_reports`."""
+    """`extremize_hyperplane` rejects forms whose values would overflow,
+    with the bound of `inequality_reports`."""
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_overflowing_forms_rejected(self, p):
         # At p = 2 these gave inf for "inf" and -inf for "sup", with numpy
         # overflow warnings.
-        h = np.zeros((1, p, 3, 3))
-        h[:, 0, 0, 0] = 1e200
+        h = np.zeros((p, 3, 3))
+        h[0, 0, 0] = 1e200
         for mode in ("inf", "sup"):
             with pytest.raises(ValueError, match=r"max \|h\| > .*overflow"):
-                hyperplane_extrema_batch(h, mode)
-            with pytest.raises(ValueError, match=r"max \|h\| > .*overflow"):
-                extremize_hyperplane(SecondForm(3, p, h[0]), mode)
+                extremize_hyperplane(SecondForm(3, p, h), mode)
 
     @pytest.mark.parametrize("n,p", [(3, 1), (3, 2), (6, 3)])
     def test_finite_at_range_bound(self, n, p):
@@ -552,13 +475,36 @@ class TestExtremumRange:
         rng = np.random.default_rng(11)
         A = rng.choice([-1.0, 1.0], (p, n, n))
         A = np.triu(A) + np.triu(A, 1).transpose(0, 2, 1)
-        h = np.array([h_max * A, np.full((p, n, n), h_max)])
-        for mode in ("inf", "sup"):
-            assert np.isfinite(hyperplane_extrema_batch(h, mode)).all()
-            assert math.isfinite(extremize_hyperplane(SecondForm(n, p, h[0]),
-                                                      mode).value)
+        full = np.full((p, n, n), h_max)
+        for h in (h_max * A, full):
+            for mode in ("inf", "sup"):
+                assert math.isfinite(extremize_hyperplane(SecondForm(n, p, h),
+                                                          mode).value)
         with pytest.raises(ValueError, match="overflow"):
-            hyperplane_extrema_batch(np.nextafter(h, np.inf), "inf")
+            extremize_hyperplane(SecondForm(n, p, np.nextafter(full, np.inf)), "inf")
+
+
+class TestEntryPointsAgree:
+    """The single-form entry point and the report batch (ROADMAP item 1's
+    gate): every extremum agrees bit for bit, sign bits included."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_extremize_matches_reports(self, n, p):
+        # A zero form, random forms and a non-contiguous view of one of
+        # them (the same symmetric form, transposed).
+        h = random_forms(n, p, 3, seed=10 * n + p)
+        view = h[0].transpose(0, 2, 1)
+        assert not view.flags.c_contiguous
+        forms = [SecondForm(n, p, x) for x in (np.zeros((p, n, n)), *h, view)]
+        reports = inequality_reports([(sf, 0.0) for sf in forms])
+        for i, (sf, rep) in enumerate(zip(forms, reports)):
+            for got in (rep.infCL, rep.supCL):
+                want = extremize_hyperplane(sf, got.mode)
+                assert bits(got.value) == bits(want.value), (i, got.mode)
+                assert np.array_equal(bits(got.u), bits(want.u)), (i, got.mode)
+                assert got.certificate == want.certificate
+        assert reports[0].infCL.value == reports[0].supCL.value == 0.0
 
 
 class TestStreamedGrid:
@@ -907,6 +853,15 @@ class TestClassification:
             cls = classify_ideal(diag_form(*vals))
             assert (cls.kind, cls.quasi_umbilical) == (kind, quasi), vals
             assert type(cls.quasi_umbilical) is bool
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_tol_positive_and_finite(self, tol):
+        # A NaN tol called the zero form Generic and diag(1, 1, 2) Generic
+        # in a report; an infinite one called every form TotallyGeodesic.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            classify_ideal(diag_form(0.0, 0.0, 0.0), tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            inequality_report(diag_form(1.0, 1.0, 2.0), classify_tol=tol)
 
     def test_single_normal_flag(self):
         h = np.zeros((2, 3, 3))
