@@ -318,7 +318,7 @@ def _cmd_report(args) -> int:
         except KeyError as exc:
             raise ValueError(f"point missing axis {exc}") from exc
         # Unlike a grid point, an inadmissible or ill-conditioned point is
-        # an error here: jet2 raises it with its reason.
+        # an error here: frame_at raises it with its reason.
         frame = frame_at(chart, point)
         sf, cond = second_form(chart, point, frame), frame.condition
         c_tilde, jet_mode = 0.0, chart.jet_mode

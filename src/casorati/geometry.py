@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .immersions import (
+    COND_LIMIT,
     BoundaryProximityError,
     Chart,
     IllConditionedPointError,
@@ -96,6 +97,11 @@ def frame_at(chart: Chart, x) -> FramedPoint:
     jet = jet2(chart, x)
     n, N = chart.n, chart.ambient_dim
     A = jet.d1.T  # (N, n) columns are coordinate tangent vectors
+    cond = float(np.linalg.cond(A.T @ A))
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise IllConditionedPointError(
+            f"Gram matrix condition {cond:.3e} exceeds {COND_LIMIT:.1e} "
+            f"at {x.tolist()} on chart {chart.name!r}")
     M = np.hstack([A, np.eye(N)])
     Q, R = np.linalg.qr(M)
     sgn = np.sign(np.diagonal(R)[:N])
@@ -105,7 +111,6 @@ def frame_at(chart: Chart, x) -> FramedPoint:
     normal = Q[:, n:].T
     Rtri = (R[:n, :n].T * sgn[:n]).T
     B = np.linalg.solve(Rtri, np.eye(n))
-    cond = float(np.linalg.cond(A.T @ A))
     return FramedPoint(x, tangent, normal, cond, jet, B)
 
 

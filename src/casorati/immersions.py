@@ -43,10 +43,10 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-# Largest Gram-matrix condition number `jet2` accepts.
+# Largest Gram-matrix condition number `geometry.frame_at` accepts.
 COND_LIMIT = 1e8
-# Largest hypersphere dimension n. The chart's factor table has n(n + 1)
-# entries, so the limit is checked before it is built.
+# Largest hypersphere dimension n: an analytic 2-jet takes O(n^3) time and
+# memory, its d2 array alone (n, n, n + 1) doubles.
 MAX_SPHERE_N = 64
 
 CATALOG_NAMES = ("hypersphere", "chen_ideal", "flat_torus", "paraboloid")
@@ -124,16 +124,6 @@ def _outside(names) -> tuple:
 
 # --- hypersphere: round S^n(R) in E^(n+1), polar angles ------------------
 
-def _sphere_factor(tag: str, order: int, s, c):
-    """Derivative of the given order of one polar factor, from the sine s and
-    cosine c of its angle (floats or arrays)."""
-    if tag == "one":
-        return 1.0 if order == 0 else 0.0
-    if tag == "sin":
-        return s if order == 0 else c if order == 1 else -s
-    return c if order == 0 else -s if order == 1 else -c
-
-
 def _make_hypersphere(params: dict, margin: float) -> Chart:
     R = _get_param(params, "R", 1.0)
     n = float(params.get("n", 2))
@@ -146,61 +136,45 @@ def _make_hypersphere(params: dict, margin: float) -> Chart:
         raise ValueError(f"hypersphere dimension n = {n} exceeds the limit "
                          f"MAX_SPHERE_N = {MAX_SPHERE_N}")
     N = n + 1
-    # Coordinate m of the immersion is R * prod_j factor[m][j](phi_j).
-    factors = ([["sin"] * m + ["cos"] + ["one"] * (n - 1 - m) for m in range(n)]
-               + [["sin"] * n])
+    eye = np.eye(n, dtype=bool)
+    # Coordinate m depends on phi_0 .. phi_m only: its partials along later
+    # axes vanish. depends[a, m] is m >= a.
+    depends = np.arange(N) >= np.arange(n)[:, None]
 
-    def sin_cos(x: np.ndarray) -> tuple:
-        # Per-axis sines and cosines: floats for one point (scalar arithmetic
-        # is faster there), arrays over the points otherwise.
-        s, c = np.sin(x.T), np.cos(x.T)
-        return (s.tolist(), c.tolist()) if x.ndim == 1 else (s, c)
-
-    def factor_tables(x: np.ndarray, orders: tuple) -> list:
-        # tables[k][m][j]: derivative orders[k] of factor (m, j) at x[..., j].
-        s, c = sin_cos(x)
-        return [[[_sphere_factor(factors[m][j], k, s[j], c[j]) for j in range(n)]
-                 for m in range(N)] for k in orders]
-
-    def product(v, row: list, skip: tuple):
-        # v times the factors of one coordinate, in axis order, leaving out
-        # the skipped axes.
-        for j, f in enumerate(row):
-            if j not in skip:
-                v = v * f
-        return v
-
-    def d1_from(vals: list, der1: list, lead: tuple) -> np.ndarray:
-        d1 = np.empty(lead + (n, N))
-        for m in range(N):
-            for a in range(n):
-                d1[..., a, m] = product(R * der1[m][a], vals[m], (a,))
-        return d1
-
-    def position(x: np.ndarray) -> np.ndarray:
-        # Coordinate m is (R s_0 ... s_{m-1}) c_m, the last R s_0 ... s_{n-1};
-        # the factors 1 of the table are exact and left out.
-        s, c = sin_cos(x)
+    def coords(s, c) -> list:
+        # The N coordinates from the sines s[j] and cosines c[j] of the
+        # angles (floats or arrays): coordinate m is (R s_0 ... s_{m-1}) c_m,
+        # the last R s_0 ... s_{n-1}.
         out, v = [], R
         for j in range(n):
             out.append(v * c[j])
             v = v * s[j]
         out.append(v)
-        return np.array(out).T
+        return out
+
+    def derivative(s, c) -> tuple:
+        # d/dphi_a for every axis a, on a new axis after the angle axis:
+        # (s_a, c_a) becomes (c_a, -s_a). Applied twice it gives (-s_a, -c_a)
+        # for a = b and replaces both pairs for a != b.
+        at_a = eye.reshape(eye.shape + (1,) * (s.ndim - 1))
+        s, c = s[:, None], c[:, None]
+        return np.where(at_a, c, s), np.where(at_a, -s, c)
+
+    def position(x: np.ndarray) -> np.ndarray:
+        # One point takes floats: scalar arithmetic is faster there.
+        s, c = np.sin(x.T), np.cos(x.T)
+        if x.ndim == 1:
+            s, c = s.tolist(), c.tolist()
+        return np.array(coords(s, c)).T
 
     def analytic_d1(x: np.ndarray) -> np.ndarray:
-        return d1_from(*factor_tables(x, (0, 1)), x.shape[:-1])
+        s, c = derivative(np.sin(x.T), np.cos(x.T))
+        return np.where(depends, np.array(coords(s, c)).T, 0.0)
 
     def analytic_jet(x: np.ndarray) -> Jet2:
-        vals, der1, der2 = factor_tables(x, (0, 1, 2))
-        d2 = np.empty((n, n, N))
-        for m in range(N):
-            for a in range(n):
-                d2[a, a, m] = product(R * der2[m][a], vals[m], (a,))
-                for b in range(a + 1, n):
-                    d2[a, b, m] = d2[b, a, m] = product(
-                        R * der1[m][a] * der1[m][b], vals[m], (a, b))
-        return Jet2(position(x), d1_from(vals, der1, ()), d2)
+        s, c = derivative(*derivative(np.sin(x), np.cos(x)))
+        d2 = np.where(depends[:, None] & depends, np.array(coords(s, c)).T, 0.0)
+        return Jet2(position(x), analytic_d1(x), d2)
 
     domain = tuple((margin, math.pi - margin) for _ in range(n - 1)) + ((0.0, 2.0 * math.pi),)
     names = tuple(f"phi{j + 1}" for j in range(n))
@@ -496,8 +470,8 @@ def first_partials(chart: Chart, x) -> np.ndarray:
     """First partials only: the fast path for metric fields. A point x of
     shape (n,) gives shape (n, N); points of shape (G, n) give (G, n, N).
 
-    Skips the admissibility and conditioning checks of `jet2`; callers that
-    sweep finite-difference stencils are responsible for staying inside the
+    Skips the admissibility check of `jet2`; callers that sweep
+    finite-difference stencils are responsible for staying inside the
     domain.
     """
     return chart._first_partials(np.asarray(x, dtype=float))
@@ -506,19 +480,12 @@ def first_partials(chart: Chart, x) -> np.ndarray:
 def jet2(chart: Chart, x) -> Jet2:
     """Position plus first/second partials at a strictly interior point.
 
-    Raises IllConditionedPointError when the Gram matrix condition number
-    exceeds COND_LIMIT.
+    Raises DomainError for any other point. The Gram matrix's conditioning
+    is checked by `casorati.geometry.frame_at`, against COND_LIMIT.
     """
     x = np.asarray(x, dtype=float)
     verdict = domain_check(chart, x)
     if not verdict.admissible:
         raise DomainError(f"point {x.tolist()} inadmissible for chart "
                           f"{chart.name!r}: {verdict.reason}")
-    jet = chart._jet(x)
-    gram = jet.d1 @ jet.d1.T
-    cond = float(np.linalg.cond(gram))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditionedPointError(
-            f"Gram matrix condition {cond:.3e} exceeds {COND_LIMIT:.1e} "
-            f"at {x.tolist()} on chart {chart.name!r}")
-    return jet
+    return chart._jet(x)

@@ -298,8 +298,9 @@ def _grid_newton(h, grid_size: int, modes: tuple):
     depends neither on the batch its form came in nor on the other batches
     or modes asked for.
     Returns (n-1) C(u-perp) at the polished points (M, B), the unit points
-    u (M, B, n), the best grid values (M, B), M = len(modes), and the
-    number of grid nodes.
+    u (M, B, n), the best grid values (M, B), M = len(modes), the number
+    of grid nodes, and the Newton iterations each row ran (M, B), 1 to
+    `_NEWTON_ITERS`: every iteration that starts with the row live.
     """
     h = [np.ascontiguousarray(x) for x in ([h] if isinstance(h, np.ndarray) else h)]
     n = h[0].shape[2]
@@ -362,6 +363,7 @@ def _grid_newton(h, grid_size: int, modes: tuple):
     scale = 1.0 + tr2
     eye = np.eye(n)
     live = np.ones(B * M, dtype=bool)
+    iters = np.zeros(B * M, dtype=int)
 
     def spans(rows):
         """(a, b, p_k) for each batch k whose rows, in ascending `rows`, are
@@ -371,6 +373,7 @@ def _grid_newton(h, grid_size: int, modes: tuple):
 
     for _ in range(_NEWTON_ITERS):
         idx = np.flatnonzero(live)
+        iters[idx] += 1
         L = idx.size
         hl, Sl, ul, sl = h[idx], S[idx], u[idx], sign[idx]
         hu = (hl @ ul[:, None, :, None])[..., 0]    # (L, p, n)
@@ -426,7 +429,8 @@ def _grid_newton(h, grid_size: int, modes: tuple):
                 break
             flat = False                 # only a failed full step converges
             t *= 0.5
-    return f.reshape(B, M).T, u.reshape(B, M, n).transpose(1, 0, 2), grid_f, nodes
+    return (f.reshape(B, M).T, u.reshape(B, M, n).transpose(1, 0, 2), grid_f,
+            nodes, iters.reshape(B, M).T)
 
 
 def _extrema(h: list, modes: tuple) -> list:
@@ -442,12 +446,11 @@ def _extrema(h: list, modes: tuple) -> list:
         vals, us = _hypersurface_extrema(A[:, 0], modes)
         certs = [[{"method": "closed_form"} for _ in range(B)] for _ in modes]
     else:
-        vals, us, grid_f, nodes = _grid_newton(
+        vals, us, grid_f, nodes, iters = _grid_newton(
             h, min(32768, 4096 * 2 ** (n - 3)), modes)
         certs = [[{"method": "grid_newton", "grid_nodes": nodes,
-                   "refine_iters": _NEWTON_ITERS,
-                   "grid_value": float(gv) / (n - 1)} for gv in row]
-                 for row in grid_f]
+                   "refine_iters": int(it), "grid_value": float(gv) / (n - 1)}
+                  for gv, it in zip(*rows)] for rows in zip(grid_f, iters)]
     return [[HyperplaneExtremum(mode, float(vals[m][b]) / (n - 1), us[m][b],
                                 certs[m][b]) for b in range(B)]
             for m, mode in enumerate(modes)]
@@ -462,7 +465,7 @@ def extremize_hyperplane(h: SecondForm, mode: str) -> HyperplaneExtremum:
     quasi-uniform sphere grid (`sphere_grid`, 4096 2^(n-3) nodes up to
     32768) followed by a safeguarded Newton polish on the sphere; the
     certificate gives the method ``"grid_newton"``, the grid nodes, the
-    Newton iteration cap and the best grid value. The polished point is
+    Newton iterations run and the best grid value. The polished point is
     always feasible, so there `inf` results upper-bound the true infimum
     and `sup` results lower-bound the true supremum. Each result equals
     that of an `inequality_reports` batch holding the form, bit for bit.
@@ -642,14 +645,18 @@ def _match_pattern(eigs: np.ndarray, tol: float):
     return None, None
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:        # false for a NaN tol too
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def classify_ideal(h: SecondForm, tol: float = 1e-8) -> IdealClassification:
     """Equality-case detection from the shape-operator spectrum.
 
     Checks in order: totally geodesic, umbilical, the two ideal spectra
     {2l,...,2l,l} and {l,...,l,2l} (up to a global sign), otherwise Generic.
     """
-    if not 0.0 < tol < math.inf:        # false for a NaN tol too
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     n = h.n
     hh = h.h
     norm = float(np.abs(hh).max(initial=0.0))
@@ -699,8 +706,10 @@ def inequality_reports(items, *, classify_tol: float = 1e-8) -> list:
     extrema come from one `_extrema` call for both modes: one
     eigendecomposition batch for p = 1, and one grid scan and one Newton
     loop for every p >= 2 form of the group, whatever its p. Every value
-    equals that of the form reported alone, bit for bit.
+    equals that of the form reported alone, bit for bit. `classify_tol` is
+    checked as `classify_ideal` checks its tol, before any extremum.
     """
+    _check_tol(classify_tol)
     groups = {}                          # (n, p > 1) -> p -> item indices
     for i, (h, c_tilde) in enumerate(items):
         if h.n < 3:

@@ -22,8 +22,10 @@ from casorati.geometry import (
 )
 from casorati.immersions import (
     BoundaryProximityError,
+    IllConditionedPointError,
     domain_check,
     first_partials,
+    jet2,
     make_chart,
 )
 from casorati.invariants import tau_from_h
@@ -173,6 +175,16 @@ class TestFrames:
         b = frame_at(c, [0.8, 0.3, 1.1])
         assert np.array_equal(a.tangent_frame, b.tangent_frame)
         assert np.array_equal(a.normal_frame, b.normal_frame)
+
+    def test_ill_conditioned_near_pole(self):
+        # The frame checks the Gram condition; the jet alone is returned.
+        c = make_chart("hypersphere", {"R": 1.0, "n": 3}, margin=1e-9)
+        x = [1e-8, 1.0, 1.0]
+        assert np.isfinite(jet2(c, x).d1).all()
+        with pytest.raises(IllConditionedPointError,
+                           match=r"Gram matrix condition \S+ exceeds 1\.0e\+08 at "
+                                 r"\[1e-08, 1\.0, 1\.0\] on chart 'hypersphere'"):
+            frame_at(c, x)
 
 
 class TestSecondForm:

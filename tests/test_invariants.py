@@ -287,6 +287,22 @@ class TestGridNewton:
             for got, want in zip(both[:3], alone[:3]):  # values, u, grid values
                 assert np.array_equal(got[m], want[0]), mode
             assert both[3] == alone[3] == sphere_grid(n, size).shape[0]
+            assert np.array_equal(both[4][m], alone[4][0]), mode   # iterations
+
+    def test_refine_iters_are_the_iterations_run(self, monkeypatch):
+        # Every certificate gave the cap, 60. Rows stop on their own, so a
+        # lower cap cuts a row at the cap and leaves a shorter one alone.
+        h = random_forms(4, 2, 4, seed=7)
+        full = _grid_newton(h, 8192, ("inf", "sup"))[4]
+        assert ((1 <= full) & (full < invariants._NEWTON_ITERS)).all()
+        for m, mode in enumerate(("inf", "sup")):
+            for b, x in enumerate(h):
+                cert = extremize_hyperplane(SecondForm(4, 2, x), mode).certificate
+                assert cert["refine_iters"] == full[m, b]
+        for cap in (1, 2, 3):
+            monkeypatch.setattr(invariants, "_NEWTON_ITERS", cap)
+            got = _grid_newton(h, 8192, ("inf", "sup"))[4]
+            assert np.array_equal(got, np.minimum(full, cap))
 
 
 # Frozen copies of the sphere grid and the grid+Newton extremum as they were
@@ -855,13 +871,20 @@ class TestClassification:
             assert type(cls.quasi_umbilical) is bool
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
-    def test_tol_positive_and_finite(self, tol):
+    def test_tol_positive_and_finite(self, monkeypatch, tol):
         # A NaN tol called the zero form Generic and diag(1, 1, 2) Generic
         # in a report; an infinite one called every form TotallyGeodesic.
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             classify_ideal(diag_form(0.0, 0.0, 0.0), tol=tol)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             inequality_report(diag_form(1.0, 1.0, 2.0), classify_tol=tol)
+        # A batch rejects the tol before any extremum, and with no items:
+        # the empty batch returned [], and a p >= 2 batch scanned its grid
+        # and ran its Newton loop before the tol was read.
+        monkeypatch.setattr(invariants, "_extrema", None)
+        for items in ([], [(SecondForm(4, 2, random_forms(4, 2, 1, seed=0)[0]), 0.0)]):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                inequality_reports(items, classify_tol=tol)
 
     def test_single_normal_flag(self):
         h = np.zeros((2, 3, 3))
