@@ -10,29 +10,34 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+# The catalog chart names, here rather than in `casorati.immersions`, which
+# builds the charts, so that the command line offers them as `--chart`
+# choices without loading the chart layer.
+CATALOG_NAMES = ("hypersphere", "chen_ideal", "flat_torus", "paraboloid")
+
 _SUBMODULE_EXPORTS = {
     "elliptic": (
         "EllipticTriple", "QuadratureError", "QuadratureResult", "complete_K",
         "integrate", "jacobi_elliptic", "jacobi_sd", "sd_squared_integral"),
     "geometry": (
-        "FramedPoint", "RiemannTensor", "SecondForm", "frame_at",
-        "gauss_residual", "intrinsic_riemann", "intrinsic_tau", "second_form"),
+        "FramedPoint", "RiemannTensor", "frame_at", "gauss_residual",
+        "intrinsic_riemann", "intrinsic_tau", "second_form"),
     "immersions": (
-        "CATALOG_NAMES", "BoundaryProximityError", "Chart", "DomainError",
+        "BoundaryProximityError", "Chart", "DomainError",
         "IllConditionedPointError", "Jet2", "domain_check", "jet2",
         "make_chart"),
     "invariants": (
         "HyperplaneExtremum", "IdealClassification", "InvariantReport",
-        "QPSolution", "casorati_hyperplane", "casorati_total", "classify_ideal",
-        "extremize_hyperplane", "inequality_report", "inequality_reports",
-        "oprea_qp", "proof_polynomial", "ricci_values", "tau_from_h",
-        "weyl_norm"),
+        "QPSolution", "SecondForm", "casorati_hyperplane", "casorati_total",
+        "classify_ideal", "extremize_hyperplane", "inequality_report",
+        "inequality_reports", "oprea_qp", "proof_polynomial", "ricci_values",
+        "tau_from_h", "weyl_norm"),
 }
 # Exported name -> the submodule that defines it.
 _EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items()
             for name in names}
 
-__all__ = list(_EXPORTS)
+__all__ = ["CATALOG_NAMES", *_EXPORTS]
 
 
 def __getattr__(name: str):

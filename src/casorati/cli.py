@@ -17,50 +17,81 @@ import os
 import sys
 from collections import Counter
 from functools import partial
+from importlib import import_module
+from itertools import chain
 from pathlib import Path
 
+from . import CATALOG_NAMES
+
 # numpy's OpenBLAS starts a pool of one thread per core when numpy loads. The
-# matrices here are too small for it (n <= 64, and at most a (p + 1, 21) @
-# (21, 512) grid-scan product per form at n = 6): on 2 cores the second
-# thread cost 60-90 ms of CPU per process and saved no wall time. So the
-# command line asks for one thread unless the caller set a count. Once numpy
-# is loaded the pool exists, and the variable would only pass on to child
-# processes: leave it alone then.
-# Every object the imports below make stays alive, so a cyclic-collector pass
-# over them finds nothing: as the program's entry, the CLI imports with the
-# collector off, then freezes those objects out of later passes.
-_entry, _collecting = "numpy" not in sys.modules, gc.isenabled()
+# matrices here are too small for it (n <= 64, and grid-scan products of at
+# most 128 KiB, such as (8 forms x 4 rows, 21) @ (21, 512) at n = 6): on 2
+# cores the second thread cost 60-90 ms of CPU per process and saved no wall
+# time. So the command line asks for one thread unless the caller set a
+# count. Once numpy is loaded the pool exists, and the variable would only
+# pass on to child processes: leave it alone then.
+_entry = "numpy" not in sys.modules
 if _entry:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    gc.disable()
 
-import numpy as np  # noqa: E402  (after the thread count is set)
 
-from .geometry import (
-    SecondForm,
-    frame_at,
-    gauss_residual,
-    intrinsic_riemann,
-    second_form,
-)
-from .immersions import (
-    CATALOG_NAMES,
-    BoundaryProximityError,
-    IllConditionedPointError,
-    domain_check,
-    make_chart,
-)
-from .invariants import (
-    InvariantReport,
-    inequality_report,
-    inequality_reports,
-    oprea_qp,
-)
+class _EntryImports:
+    """Every object an import makes stays alive, so a cyclic-collector pass
+    over them finds nothing: as the program's entry, the CLI imports with
+    the collector off, then freezes those objects out of later passes. A
+    collector the caller switched off stays off."""
 
-if _entry:
-    gc.freeze()
-    if _collecting:
-        gc.enable()
+    def __enter__(self):
+        self.collecting = gc.isenabled()
+        if _entry:
+            gc.disable()
+
+    def __exit__(self, *exc_info):
+        if _entry:
+            gc.freeze()
+            if self.collecting:
+                gc.enable()
+
+
+# Everything but chart input needs only numpy and the invariants: the chart
+# layer (immersions, geometry and, through them, elliptic) loads on demand.
+with _EntryImports():
+    import numpy as np
+
+    from .invariants import (
+        InvariantReport,
+        SecondForm,
+        inequality_report,
+        inequality_reports,
+        oprea_qp,
+    )
+
+# The chart layer's names the commands call, by the module that defines them.
+# `_bind_chart_layer` makes each a module attribute, looked up at call time.
+_CHART_NAMES = {
+    "immersions": ("BoundaryProximityError", "IllConditionedPointError",
+                   "domain_check", "make_chart"),
+    "geometry": ("frame_at", "gauss_residual", "intrinsic_riemann", "second_form"),
+}
+
+
+def _bind_chart_layer() -> None:
+    """Import the chart layer and bind `_CHART_NAMES` here. A name already
+    bound, such as a test's patch or a tracer's wrapper, is kept."""
+    with _EntryImports():
+        modules = {m: import_module(f".{m}", __package__) for m in _CHART_NAMES}
+    for m, names in _CHART_NAMES.items():
+        for name in names:
+            globals().setdefault(name, getattr(modules[m], name))
+
+
+def __getattr__(name: str):
+    # PEP 562: reading a chart-layer name as an attribute binds the layer.
+    if not any(name in names for names in _CHART_NAMES.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_chart_layer()
+    return globals()[name]
+
 
 __all__ = ["main"]
 
@@ -180,15 +211,34 @@ def _synthetic_from_dict(data: dict) -> tuple:
     if n > MAX_SYNTHETIC_N:
         raise ValueError(f"synthetic n = {n} exceeds the limit "
                          f"MAX_SYNTHETIC_N = {MAX_SYNTHETIC_N}")
-    todo = [data["h"]]  # each entry of h follows the rule of n, p and c_tilde
+    _check_h_entries(data["h"])
+    h = np.asarray(data["h"], dtype=float)
+    return SecondForm(n, p, h), c_tilde  # validates shape and symmetry
+
+
+def _check_h_entries(h) -> None:
+    """Each entry of the nested lists h follows the rule of n, p and c_tilde
+    (`_synthetic_number`). The common case is checked a level of lists at a
+    time: lists of one depth over int and float entries, each less than
+    float_max in size. Anything else, a float_max entry included, takes the
+    walk, which names the entry at fault."""
+    level, kinds = [h], {type(h)}
+    while kinds == {list}:
+        level = list(chain.from_iterable(level))
+        kinds = set(map(type, level))
+    try:
+        # False for a NaN or infinite entry; each |entry| is at most the sum.
+        if kinds <= {int, float} and math.fsum(map(abs, level)) < sys.float_info.max:
+            return
+    except OverflowError:               # an int, or the sum, beyond the float range
+        pass
+    todo = [h]
     while todo:
         x = todo.pop()
         if isinstance(x, list):
             todo += x
         else:
             _synthetic_number(x, "h entry")
-    h = np.asarray(data["h"], dtype=float)
-    return SecondForm(n, p, h), c_tilde  # validates shape and symmetry
 
 
 def _report_dict(rep: InvariantReport, frame_condition: float | None) -> dict:
@@ -251,6 +301,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _make_cli_chart(args):
+    _bind_chart_layer()
     params = _parse_kv(args.param or "", "param")
     return make_chart(args.chart, params, jet_mode=args.jet_mode or "analytic",
                       margin=1e-3 if args.margin is None else args.margin)
@@ -281,6 +332,7 @@ def _classify_tol_for(jet_mode: str | None) -> float:
 # ---------------------------------------------------------------------------
 
 def _cmd_catalog(args) -> int:
+    _bind_chart_layer()
     entries = {}
     for name in CATALOG_NAMES:
         chart = make_chart(name)
@@ -453,7 +505,7 @@ def _cmd_qp(args) -> int:
     if abs(args.k) > k_max:
         raise ValueError(f"--k must satisfy |k| <= {k_max:.6g}, got {args.k!r}")
     sol = oprea_qp(args.variant, args.n, args.k)
-    out = {**vars(sol), "point": sol.point.tolist()}
+    out = {**sol._asdict(), "point": sol.point.tolist()}
     _emit(json.dumps(out, indent=2, sort_keys=True), args.out)
     return 0
 
@@ -535,7 +587,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IllConditionedPointError as exc:
+    # Only the chart layer raises it, so it is bound by the time it can be.
+    except globals().get("IllConditionedPointError", ()) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

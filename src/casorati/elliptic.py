@@ -12,8 +12,7 @@ integrator; no computation in the package calls it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "EllipticTriple",
@@ -34,8 +33,7 @@ class QuadratureError(RuntimeError):
     """Raised when adaptive subdivision cannot reach the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class EllipticTriple:
+class EllipticTriple(NamedTuple):
     """Values sn(u,k), cn(u,k), dn(u,k) at a single argument."""
 
     u: float
@@ -45,8 +43,7 @@ class EllipticTriple:
     dn: float
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int

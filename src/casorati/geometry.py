@@ -8,7 +8,7 @@ frame completes it deterministically from the ambient standard basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .immersions import (
     first_partials,
     jet2,
 )
+# SecondForm is defined with the invariants, which need no chart; it is
+# re-exported here.
+from .invariants import SecondForm, _gauss_riemann
 
 __all__ = [
     "FramedPoint",
@@ -44,32 +47,7 @@ _EPS = np.finfo(float).eps
 _RIEMANN_STEPS = {"analytic": (2e-3, float(np.cbrt(_EPS))), "numeric": (5e-2, 1e-2)}
 
 
-@dataclass(frozen=True)
-class SecondForm:
-    """Components h^r_ij of the second fundamental form in an adapted
-    orthonormal frame; h has shape (p, n, n), finite entries, and each slice
-    is symmetric."""
-
-    n: int
-    p: int
-    h: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        if h.shape != (self.p, self.n, self.n):
-            raise ValueError(f"h must have shape ({self.p}, {self.n}, {self.n}), "
-                             f"got {h.shape}")
-        if not np.isfinite(h).all():
-            raise ValueError("h must be finite (no NaN or inf entries)")
-        # symmetric within 1e-8 (1 + max |h|) of the form's own scale
-        asym = np.abs(h - h.transpose(0, 2, 1)).max(initial=0.0)
-        if asym > 1e-8 * (1.0 + np.abs(h).max(initial=0.0)):
-            raise ValueError("each h[r] must be symmetric in (i, j)")
-        object.__setattr__(self, "h", h)
-
-
-@dataclass(frozen=True)
-class RiemannTensor:
+class RiemannTensor(NamedTuple):
     """R_ijkl in an orthonormal tangent frame, with R_ijij the sectional
     curvature of the (e_i, e_j) plane."""
 
@@ -77,14 +55,13 @@ class RiemannTensor:
     components: np.ndarray
 
 
-@dataclass(frozen=True)
-class FramedPoint:
+class FramedPoint(NamedTuple):
     x: np.ndarray
     tangent_frame: np.ndarray  # (n, N) rows e_1..e_n
     normal_frame: np.ndarray   # (p, N) rows e_{n+1}..e_{n+p}
     condition: float
-    jet: Jet2 = field(repr=False)
-    coord_to_frame: np.ndarray = field(repr=False)  # B with e_i = sum_a B[a,i] d_a
+    jet: Jet2
+    coord_to_frame: np.ndarray  # B with e_i = sum_a B[a,i] d_a
 
 
 def frame_at(chart: Chart, x) -> FramedPoint:
@@ -185,17 +162,6 @@ def intrinsic_tau(riemann: RiemannTensor) -> float:
     c = riemann.components
     n = riemann.n
     return float(sum(c[i, j, i, j] for i in range(n) for j in range(i + 1, n)))
-
-
-def _gauss_riemann(h: SecondForm, c_tilde: float) -> np.ndarray:
-    """R_ijkl of the Gauss equation: c_tilde (d_ik d_jl - d_il d_jk)
-    + sum_r (h^r_ik h^r_jl - h^r_il h^r_jk)."""
-    eye = np.eye(h.n)
-    hh = h.h
-    return (c_tilde * (np.einsum("ik,jl->ijkl", eye, eye)
-                       - np.einsum("il,jk->ijkl", eye, eye))
-            + np.einsum("rik,rjl->ijkl", hh, hh)
-            - np.einsum("ril,rjk->ijkl", hh, hh))
 
 
 def gauss_residual(secondform: SecondForm, riemann: RiemannTensor,

@@ -15,12 +15,12 @@ numeric first partials at any number of points, is one `position` call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import CATALOG_NAMES
 from .elliptic import _jacobi_sd_squared_integral, complete_K, jacobi_elliptic
 # No chart calls the quadrature; the name stays a module attribute
 # because perfbench/tracing.py wraps it as its elliptic.quad layer boundary.
@@ -49,9 +49,6 @@ COND_LIMIT = 1e8
 # memory, its d2 array alone (n, n, n + 1) doubles.
 MAX_SPHERE_N = 64
 
-CATALOG_NAMES = ("hypersphere", "chen_ideal", "flat_torus", "paraboloid")
-
-
 class DomainError(ValueError):
     """Parameter point outside the chart's open domain."""
 
@@ -64,8 +61,7 @@ class IllConditionedPointError(RuntimeError):
     """Induced metric too ill-conditioned for reliable downstream use."""
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(NamedTuple):
     """Position plus first and second partial derivatives of an immersion.
 
     d1 has shape (n, N) and d2 shape (n, n, N) with N the ambient dimension;
@@ -77,19 +73,17 @@ class Jet2:
     d2: np.ndarray
 
 
-@dataclass(frozen=True)
-class DomainVerdict:
+class DomainVerdict(NamedTuple):
     admissible: bool
     distance_to_boundary: float
     reason: str
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     """A catalog immersion in one jet mode.
 
-    `_position` and `_first_partials` take a point (n,) or points (G, n);
-    `_jet` takes one point. `_boundary` holds, per axis, the reasons
+    `position` and `first_partials` take a point (n,) or points (G, n);
+    `jet` takes one point. `boundary` holds, per axis, the reasons
     `domain_check` gives for a point past its low and its high end.
     """
 
@@ -100,10 +94,10 @@ class Chart:
     axis_names: tuple
     jet_mode: str
     params: dict
-    _position: Callable = field(repr=False, compare=False)
-    _first_partials: Callable = field(repr=False, compare=False)
-    _jet: Callable = field(repr=False, compare=False)
-    _boundary: tuple = field(repr=False, compare=False)
+    position: Callable
+    first_partials: Callable
+    jet: Callable
+    boundary: tuple
 
     @property
     def ambient_dim(self) -> int:
@@ -360,9 +354,9 @@ def make_chart(name: str, params: dict | None = None, *,
             raise ValueError(f"margin {margin} leaves axis {axis!r} of "
                              f"{name} empty: [{lo:.6g}, {hi:.6g}]")
     if jet_mode == "numeric":
-        chart = replace(chart, jet_mode=jet_mode,
-                        _first_partials=partial(_numeric_d1, chart._position),
-                        _jet=partial(_numeric_jet, chart._position))
+        chart = chart._replace(jet_mode=jet_mode,
+                               first_partials=partial(_numeric_d1, chart.position),
+                               jet=partial(_numeric_jet, chart.position))
     return chart
 
 
@@ -379,7 +373,7 @@ def domain_check(chart: Chart, x) -> DomainVerdict:
         if d < dist:
             dist, worst = d, j
     if dist <= 0.0:
-        at_lo, at_hi = chart._boundary[worst]
+        at_lo, at_hi = chart.boundary[worst]
         reason = at_lo if x[worst] <= chart.domain[worst][0] else at_hi
         return DomainVerdict(False, dist, reason)
     return DomainVerdict(True, dist, "interior")
@@ -474,7 +468,7 @@ def first_partials(chart: Chart, x) -> np.ndarray:
     finite-difference stencils are responsible for staying inside the
     domain.
     """
-    return chart._first_partials(np.asarray(x, dtype=float))
+    return chart.first_partials(np.asarray(x, dtype=float))
 
 
 def jet2(chart: Chart, x) -> Jet2:
@@ -488,4 +482,4 @@ def jet2(chart: Chart, x) -> Jet2:
     if not verdict.admissible:
         raise DomainError(f"point {x.tolist()} inadmissible for chart "
                           f"{chart.name!r}: {verdict.reason}")
-    return chart._jet(x)
+    return chart.jet(x)

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import SecondForm, _gauss_riemann
-
 __all__ = [
+    "SecondForm",
     "HyperplaneExtremum",
     "IdealClassification",
     "InvariantReport",
@@ -42,9 +40,10 @@ __all__ = [
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Newton iteration cap of the p >= 2 hyperplane extremum, after the grid seed.
 _NEWTON_ITERS = 60
-# Bytes of the monomial matrix, and of the (forms, p + 1, block) products, of
-# one block of the p >= 2 grid scan; a block is a power of two of lattice
-# points in [_GRID_MIN, _GRID_MAX], the floor overriding the budget (n >= 11).
+# Bytes of the monomial matrix, and of the (forms, max p + 1, block)
+# products, of one block of the p >= 2 grid scan; a block is a power of two
+# of lattice points in [_GRID_MIN, _GRID_MAX], the floor overriding the
+# budget (n >= 11).
 _GRID_BYTES = 128 * 1024
 _GRID_MIN, _GRID_MAX = 256, 4096
 # Step halvings tried after a Newton step that does not improve its row.
@@ -55,8 +54,38 @@ _HALVINGS = 29
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HyperplaneExtremum:
+class _SecondFormFields(NamedTuple):
+    n: int
+    p: int
+    h: np.ndarray
+
+
+class SecondForm(_SecondFormFields):
+    """Components h^r_ij of the second fundamental form in an adapted
+    orthonormal frame; h has shape (p, n, n), finite entries, and each slice
+    is symmetric. Every construction checks this, `_replace` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, p: int, h):
+        h = np.asarray(h, dtype=float)
+        if h.shape != (p, n, n):
+            raise ValueError(f"h must have shape ({p}, {n}, {n}), got {h.shape}")
+        h = np.ascontiguousarray(h)     # so that its sums run as in a batch
+        if not np.isfinite(h).all():
+            raise ValueError("h must be finite (no NaN or inf entries)")
+        # symmetric within 1e-8 (1 + max |h|) of the form's own scale
+        asym = np.abs(h - h.transpose(0, 2, 1)).max(initial=0.0)
+        if asym > 1e-8 * (1.0 + np.abs(h).max(initial=0.0)):
+            raise ValueError("each h[r] must be symmetric in (i, j)")
+        return super().__new__(cls, n, p, h)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class HyperplaneExtremum(NamedTuple):
     """Extremum of C(L) over hyperplanes L = u-perp of the tangent space."""
 
     mode: str               # "inf" | "sup"
@@ -65,16 +94,14 @@ class HyperplaneExtremum:
     certificate: dict
 
 
-@dataclass(frozen=True)
-class IdealClassification:
+class IdealClassification(NamedTuple):
     kind: str               # TotallyGeodesic | Umbilical | Ideal11 | Ideal41 | Generic
     lam: Optional[float]
     single_normal: bool
     quasi_umbilical: bool
 
 
-@dataclass(frozen=True)
-class QPSolution:
+class QPSolution(NamedTuple):
     variant: str
     n: int
     k: float
@@ -84,8 +111,7 @@ class QPSolution:
     min_restricted_hessian_eig: float
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     n: int
     p: int
     c_tilde: float
@@ -275,10 +301,15 @@ def _grid_newton(h, grid_size: int, modes: tuple):
     product per row i. A block is the longest power of two of at most
     `_GRID_MAX` points whose monomial matrix fits `_GRID_BYTES`, but no
     shorter than `_GRID_MIN`, which bounds the blocks per grid and so their
-    Python overhead; each block is scanned for as many forms of one batch
-    at once as keep their (forms, p_k + 1, block) products within
-    `_GRID_BYTES`. So the scan's memory grows neither with the batches nor
-    with the grid size, and every block and its monomials serve them all.
+    Python overhead. Each block is scanned for as many forms at once,
+    whatever their batch, as keep their (forms, P, block) products within
+    `_GRID_BYTES`, P = max_k p_k + 1: one stacked matrix product and one
+    argmin or argmax per mode serve such a chunk of forms. A form's rows
+    past its own p_k + 1 are zero, so they add exact zeros to f, and each
+    row of the product is summed over the monomials as it is alone (as
+    OpenBLAS's dgemm does, whatever the rows around it). So the scan's
+    memory grows neither with the batches nor with the grid size, and every
+    block and its monomials serve them all.
     Each (mode, form) row keeps its own best node itself (the first least f
     for "inf", the first least -f for "sup"), so every node is made once and
     these (M, B, n) nodes are the Newton seeds, B = sum_k B_k. One Newton
@@ -316,13 +347,18 @@ def _grid_newton(h, grid_size: int, modes: tuple):
     block = _GRID_MAX
     while block > _GRID_MIN and 8 * iu.size * block > _GRID_BYTES:
         block //= 2
-    chunks = []                  # (first form, (forms, p_k + 1, K) coefficients, |h|^2)
-    for x, Sk, t2, b1 in zip(h, S, tr2, first):
-        coef = (np.concatenate([Sk[:, None], x], axis=1)[:, :, iu, ju]
-                * np.where(iu == ju, 1.0, 2.0))
-        bc = max(1, _GRID_BYTES // (8 * coef.shape[1] * block))
-        chunks += [(b1 + b0, coef[b0:b0 + bc], t2[b0:b0 + bc])
-                   for b0 in range(0, x.shape[0], bc)]
+    # The monomial coefficients of S and the slices, each form's P rows
+    # zero-padded, as (P bc, K) chunks of bc forms in (row, form) order, so
+    # that each row r of a chunk's products is one contiguous (bc, m) block.
+    P = max(ps) + 1
+    coef = np.zeros((P, B, iu.size))
+    for x, Sk, b1 in zip(h, S, first):
+        coef[:x.shape[1] + 1, b1:b1 + x.shape[0]] = (
+            np.concatenate([Sk[:, None], x], axis=1)[:, :, iu, ju]
+            * np.where(iu == ju, 1.0, 2.0)).transpose(1, 0, 2)
+    t2 = np.concatenate(tr2)[:, None]
+    bc = max(1, _GRID_BYTES // (8 * P * block))
+    chunks = [(b0, coef[:, b0:b0 + bc].reshape(-1, iu.size)) for b0 in range(0, B, bc)]
     best = np.full((M, B), np.inf)                    # sign * f at the best node
     u = np.zeros((M, B, n))                           # the best node
     nodes = 0
@@ -334,20 +370,22 @@ def _grid_newton(h, grid_size: int, modes: tuple):
         for i in range(n):                            # the rows (i, i..n-1)
             np.multiply(U[i], U[i:], out=mon[k:k + n - i])
             k += n - i
-        for b0, coef, t2 in chunks:
-            q = coef @ mon                            # u^T S u, u^T h_r u
-            f = t2[:, None] - 2.0 * q[:, 0]
-            for r in range(1, q.shape[1]):
-                f += q[:, r] * q[:, r]
-            rows = np.arange(f.shape[0])
-            for m, sign in enumerate(signs):
-                # argmax f is the first least -f, so "sup" needs no negated copy
-                a = np.argmin(f, axis=1) if sign > 0 else np.argmax(f, axis=1)
-                v = sign * f[rows, a]
-                top, at = best[m, b0:b0 + rows.size], u[m, b0:b0 + rows.size]
-                better = v < top
-                top[better] = v[better]
-                at[better] = U[:, a[better]].T
+        for b0, c in chunks:
+            q = (c @ mon).reshape(P, -1, mon.shape[1])  # u^T S u, u^T h_r u
+            f = q[0]                  # f = |h|^2 - 2 q_0 + q_1^2 + ..., in order
+            f *= -2.0
+            f += t2[b0:b0 + f.shape[0]]
+            np.square(q[1:], out=q[1:])
+            for r in range(1, P):
+                f += q[r]
+            # argmax f is the first least -f, so "sup" needs no negated copy
+            a = np.array([np.argmin(f, axis=1) if sign > 0 else np.argmax(f, axis=1)
+                          for sign in signs])
+            v = signs[:, None] * f[np.arange(f.shape[0]), a]
+            top, at = best[:, b0:b0 + f.shape[0]], u[:, b0:b0 + f.shape[0]]
+            better = v < top
+            top[better] = v[better]
+            at[better] = U.T[a[better]]
     grid_f = signs[:, None] * best
 
     # Newton rows are (form, mode) pairs, form-major: batch k's rows are
@@ -595,6 +633,17 @@ def oprea_qp(variant: str, n: int, k: float) -> QPSolution:
 # Ricci, Weyl
 # ---------------------------------------------------------------------------
 
+def _gauss_riemann(h: SecondForm, c_tilde: float) -> np.ndarray:
+    """R_ijkl of the Gauss equation: c_tilde (d_ik d_jl - d_il d_jk)
+    + sum_r (h^r_ik h^r_jl - h^r_il h^r_jk)."""
+    eye = np.eye(h.n)
+    hh = h.h
+    return (c_tilde * (np.einsum("ik,jl->ijkl", eye, eye)
+                       - np.einsum("il,jk->ijkl", eye, eye))
+            + np.einsum("rik,rjl->ijkl", hh, hh)
+            - np.einsum("ril,rjk->ijkl", hh, hh))
+
+
 def ricci_values(h: SecondForm, c_tilde: float = 0.0) -> np.ndarray:
     """Frame Ricci curvatures Ric(e_i) = sum_{j != i} K(e_i ^ e_j)."""
     R = _gauss_riemann(h, c_tilde)
@@ -689,59 +738,89 @@ def classify_ideal(h: SecondForm, tol: float = 1e-8) -> IdealClassification:
     return IdealClassification("Generic", None, True, quasi)
 
 
-def _check_range(h: SecondForm, c_tilde: float, i: int) -> None:
-    """Reject item i, (h, c_tilde), if its report could overflow: max |h|
-    beyond `_h_max`, or n(n-1) |c_tilde| beyond float_max / 32."""
-    h_max = _h_max(h.n, h.p)
-    c_max = sys.float_info.max / (32.0 * h.n * h.n)
-    if not (np.abs(h.h).max() <= h_max and abs(c_tilde) <= c_max):
-        raise ValueError(f"report item {i}: max |h| > {h_max:.6g} or |c_tilde| "
-                         f"> {c_max:.6g}, beyond which the invariants overflow")
+def _check_items(items, batches: dict) -> None:
+    """Reject the first item i, (h, c_tilde), whose report is undefined
+    (n < 3) or could overflow: max |h| beyond `_h_max`, or n(n-1) |c_tilde|
+    beyond float_max / 32. `batches` maps each (n, p) to its item indices,
+    stacked forms and ambient curvatures."""
+    bad = []                            # the first bad item of each batch
+    for (n, p), (idx, H, c_tilde) in batches.items():
+        ok = ((np.abs(H).max(axis=(1, 2, 3), initial=0.0) <= _h_max(n, p))
+              & (np.abs(c_tilde) <= sys.float_info.max / (32.0 * n * n)))
+        if n < 3 or not ok.all():
+            bad.append(idx[0] if n < 3 else idx[np.argmin(ok)])
+    if not bad:
+        return
+    i = min(bad)
+    n, p = items[i][0].n, items[i][0].p
+    if n < 3:
+        raise ValueError("inequality report needs n >= 3")
+    raise ValueError(f"report item {i}: max |h| > {_h_max(n, p):.6g} or |c_tilde| "
+                     f"> {sys.float_info.max / (32.0 * n * n):.6g}, beyond which "
+                     f"the invariants overflow")
+
+
+def _scalars(H: np.ndarray, c_tilde: np.ndarray) -> tuple:
+    """C, |H| and tau of the forms H (B, p, n, n) at the ambient curvatures
+    c_tilde (B,). Each sum runs over one form as it does for that form alone,
+    so every value equals `casorati_total`'s, np.linalg.norm(traces) / n and
+    `tau_from_h`'s, bit for bit: the squares of h in one pairwise sum, the
+    traces' squares in a BLAS dot for |H| and in a pairwise sum for tau."""
+    B, n = H.shape[0], H.shape[-1]
+    C = (H * H).reshape(B, -1).sum(axis=1) / n
+    traces = np.einsum("brii->br", H)
+    meanH = np.sqrt((traces[:, None, :] @ traces[:, :, None])[:, 0, 0]) / n
+    H2 = (traces * traces).sum(axis=1) / n ** 2
+    return C, meanH, 0.5 * (n * n * H2 - n * C + n * (n - 1) * c_tilde)
 
 
 def inequality_reports(items, *, classify_tol: float = 1e-8) -> list:
     """`InvariantReport`s of `(SecondForm, c_tilde)` items, in input order.
 
-    The forms are grouped by n, the p = 1 forms apart, and each group's
-    extrema come from one `_extrema` call for both modes: one
-    eigendecomposition batch for p = 1, and one grid scan and one Newton
-    loop for every p >= 2 form of the group, whatever its p. Every value
-    equals that of the form reported alone, bit for bit. `classify_tol` is
-    checked as `classify_ideal` checks its tol, before any extremum.
+    The items are stacked into one batch per (n, p), which is checked and
+    gets its C, |H|, tau, delta-curvatures and slacks at once (`_scalars`);
+    each form is classified alone. The forms are grouped by n, the p = 1
+    forms apart, and each group's extrema come from one `_extrema` call for
+    both modes: one eigendecomposition batch for p = 1, and one grid scan
+    and one Newton loop for every p >= 2 form of the group, whatever its p.
+    Every value equals that of the form reported alone, bit for bit.
+    `classify_tol` is checked as `classify_ideal` checks its tol, before any
+    extremum.
     """
     _check_tol(classify_tol)
-    groups = {}                          # (n, p > 1) -> p -> item indices
-    for i, (h, c_tilde) in enumerate(items):
-        if h.n < 3:
-            raise ValueError("inequality report needs n >= 3")
-        _check_range(h, c_tilde, i)
-        groups.setdefault((h.n, h.p > 1), {}).setdefault(h.p, []).append(i)
+    batches = {}                         # (n, p) -> item indices
+    for i, (h, _) in enumerate(items):
+        batches.setdefault((h.n, h.p), []).append(i)
+    batches = {key: (idx, np.array([items[i][0].h for i in idx]),
+                     np.array([items[i][1] for i in idx], dtype=float))
+               for key, idx in batches.items()}
+    _check_items(items, batches)
+    groups = {}                          # (n, p > 1) -> its batches
+    for (n, p), batch in batches.items():
+        groups.setdefault((n, p > 1), []).append((p, *batch))
     reports = [None] * len(items)
     # Largest n first: its grid-scan buffers are the biggest, and
     # allocating them before the smaller groups' lowered the peak RSS of
     # `verify --synthetic` on a mixed n = 3..6, p = 1..3 corpus from 33.4
     # to 32.7 MB (glibc malloc).
-    for (n, _), by_p in sorted(groups.items(), reverse=True):
-        family = (_family("P", n), _family("Q", n))
-        idx = [i for batch in by_p.values() for i in batch]
-        infs, sups = _extrema([np.array([items[i][0].h for i in batch])
-                               for batch in by_p.values()], ("inf", "sup"))
-        for i, infCL, supCL in zip(idx, infs, sups):
-            h, c_tilde = items[i]
-            C = casorati_total(h)
-            traces = np.einsum("rii->r", h.h)
-            meanH = float(np.linalg.norm(traces) / n)
-            tau = tau_from_h(h, c_tilde)
+    for (n, _), group in sorted(groups.items(), reverse=True):
+        extrema = zip(*_extrema([H for _, _, H, _ in group], ("inf", "sup")))
+        for p, idx, H, c_tilde in group:
+            infs, sups = zip(*(next(extrema) for _ in idx))
+            C, meanH, tau = _scalars(H, c_tilde)
             rho = 2.0 * tau / (n * (n - 1.0))
-            delta_hat, delta_C = (c * C + b * (supCL if c > 1.0 else infCL).value
-                                  for c, b in family)
-            delta_legacy = 0.5 * C + (n + 1.0) / (2.0 * n * (n - 1.0)) * infCL.value
-            slack11 = delta_hat + c_tilde - rho
-            slack41 = delta_C + c_tilde - rho
-            cls = classify_ideal(h, tol=classify_tol)
-            reports[i] = InvariantReport(
-                n, h.p, float(c_tilde), C, infCL, supCL, meanH, tau, rho,
-                delta_hat, delta_C, delta_legacy, slack11, slack41, cls)
+            inf_v = np.array([e.value for e in infs])
+            sup_v = np.array([e.value for e in sups])
+            delta_hat, delta_C = (c * C + b * (sup_v if c > 1.0 else inf_v)
+                                  for c, b in (_family("P", n), _family("Q", n)))
+            legacy = 0.5 * C + (n + 1.0) / (2.0 * n * (n - 1.0)) * inf_v
+            columns = (c_tilde, C, infs, sups, meanH, tau, rho, delta_hat,
+                       delta_C, legacy, delta_hat + c_tilde - rho,
+                       delta_C + c_tilde - rho)
+            for i, *values in zip(idx, *(x.tolist() if isinstance(x, np.ndarray)
+                                         else x for x in columns)):
+                reports[i] = InvariantReport(
+                    n, p, *values, classify_ideal(items[i][0], tol=classify_tol))
     return reports
 
 

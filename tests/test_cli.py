@@ -3,7 +3,6 @@ codes, determinism, and the JSON round trip."""
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -60,6 +59,29 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+CHART_LAYER = ("casorati.immersions", "casorati.geometry", "casorati.elliptic",
+               "dataclasses")
+
+
+@pytest.mark.parametrize("code", [
+    "from casorati.cli import main; "
+    "assert main(['verify', '--synthetic', sys.argv[1]]) == 0",
+    "import casorati; casorati.SecondForm",
+], ids=["verify-synthetic", "package-second-form"])
+def test_synthetic_path_loads_no_chart_layer(tmp_path, code):
+    # The chart layer, and with it the dataclass machinery, loads only for
+    # --chart input.
+    path = write_synthetic(tmp_path, [identity_form(), identity_form(
+        p=2, h=np.eye(3)[None].repeat(2, 0).tolist())])
+    code = (f"import sys; {code}; "
+            f"print([m for m in {CHART_LAYER!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code, path], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def run_child(args, **env_extra):
@@ -124,6 +146,16 @@ class TestImportCollector:
     def test_collector_untouched_once_numpy_is_loaded(self):
         done = run_child(["-c", "import numpy, casorati.cli; " + GC_STATE])
         assert (done.returncode, done.stdout) == (0, "True False\n"), done.stderr
+
+    @pytest.mark.parametrize("first,frozen", [("", "True"), ("numpy, ", "False")],
+                             ids=["entry", "after-numpy"])
+    def test_chart_layer_loads_under_the_same_regime(self, first, frozen):
+        # `catalog` loads the chart layer, after the CLI's own imports.
+        done = run_child(["-c", f"import gc, os, {first}casorati.cli; "
+                          "before = gc.get_freeze_count(); "
+                          "casorati.cli.main(['catalog', '--out', os.devnull]); "
+                          "print(gc.isenabled(), gc.get_freeze_count() > before)"])
+        assert (done.returncode, done.stdout) == (0, f"True {frozen}\n"), done.stderr
 
     def test_caller_disabled_collector_stays_off(self):
         done = run_child(["-c", "import gc; gc.disable(); "
@@ -337,7 +369,7 @@ class TestOverflowingInput:
         real = cli.inequality_reports
 
         def nan_slack(items, **kwargs):
-            return [dataclasses.replace(rep, slack41=math.nan)
+            return [rep._replace(slack41=math.nan)
                     for rep in real(items, **kwargs)]
 
         monkeypatch.setattr(cli, "inequality_reports", nan_slack)
@@ -493,6 +525,16 @@ class TestReport:
         rep = loads_strict(text)
         assert rep["slack_41"] == pytest.approx(1.0 / 6.0, abs=1e-6)
         assert rep["classification"] == "Umbilical"
+
+    def test_ill_conditioned_point_exits_3(self):
+        # The metric of the polar chart degenerates at phi1 = 0; with no
+        # margin the point is admissible and frame_at rejects it.
+        done = run_child(["-m", "casorati.cli", "report", "--chart", "hypersphere",
+                          "--param", "R=1,n=3", "--margin", "0",
+                          "--point", "phi1=1e-6,phi2=1,phi3=1"])
+        assert done.returncode == 3
+        assert done.stderr.startswith("numerical failure: Gram matrix condition ")
+        assert done.stdout == ""
 
     def test_chen_ideal_classification(self, tmp_path):
         rc, text = run(["report", "--chart", "chen_ideal", "--param", "a=1",

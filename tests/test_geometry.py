@@ -119,6 +119,9 @@ class TestSecondFormType:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             SecondForm(3, 1, np.zeros((2, 3, 3)))
+        # A changed copy is checked as a new form is.
+        with pytest.raises(ValueError, match="shape"):
+            SecondForm(3, 1, np.zeros((1, 3, 3)))._replace(p=2)
 
     def test_symmetry_validation(self):
         h = np.zeros((1, 3, 3))
@@ -165,7 +168,7 @@ class TestFrames:
         c = make_chart("hypersphere", {"R": 1.5, "n": 2})
         x = np.array([0.8, 1.2])
         fr = frame_at(c, x)
-        pos = c._position(x)
+        pos = c.position(x)
         cross = abs(float(fr.normal_frame[0] @ pos))
         assert cross == pytest.approx(1.5, abs=1e-10)
 

@@ -66,12 +66,12 @@ class TestPositions:
     def test_sphere_radius(self):
         c = make_chart("hypersphere", {"R": 2.0, "n": 2})
         for x in ([0.7, 1.2], [1.1, 2.9], [2.2, 5.1]):
-            pos = c._position(np.asarray(x, dtype=float))
+            pos = c.position(np.asarray(x, dtype=float))
             assert np.linalg.norm(pos) == pytest.approx(2.0, abs=1e-12)
 
     def test_chen_collapses_at_axis(self):
         c = make_chart("chen_ideal", {"a": 1.0})
-        pos = c._position(np.array([1e-9, 0.3, 1.1]))
+        pos = c.position(np.array([1e-9, 0.3, 1.1]))
         assert np.linalg.norm(pos) < 1e-8
 
     def test_chen_height_matches_quadrature(self):
@@ -86,7 +86,7 @@ class TestPositions:
             # Near the axis, inside and past the quarter period K/a, and near
             # the far end 2K/a of the profile.
             for t in (1e-3, 0.05, 0.9 / a, K / a, 1.3 * K / a, 2.0 * K / a - 1e-3):
-                pos = c._position(np.array([t, 0.2, 0.4]))
+                pos = c.position(np.array([t, 0.2, 0.4]))
                 nodes = [0.0] + [K / a] * (t > K / a) + [t]
                 with mpmath.workdps(25):
                     oracle = float(0.5 * mpmath.quad(sd2, nodes))
@@ -293,7 +293,7 @@ class TestChartInterface:
         X[0, -1] = -0.0 if name == "paraboloid" else X[0, -1]
         for x in X:
             jet = jet2(c, x)
-            f0, d2 = reference_numeric_jet(c._position, x)
+            f0, d2 = reference_numeric_jet(c.position, x)
             for got, want in ((jet.position, f0), (jet.d2, d2)):
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -307,7 +307,7 @@ class TestChartInterface:
 
         def position(y):
             calls.append(y.shape)
-            return c._position(y)
+            return c.position(y)
 
         n, X = c.n, interior_points(c, 5, 8)
         _numeric_jet(position, X[0])
@@ -322,12 +322,12 @@ class TestChartInterface:
     def test_jet_position_is_chart_position(self, name, params, mode):
         c = make_chart(name, params, jet_mode=mode)
         for x in interior_points(c, 12, 6):
-            assert np.array_equal(jet2(c, x).position, c._position(x))
+            assert np.array_equal(jet2(c, x).position, c.position(x))
 
     def test_sphere_jet_position_at_many_points(self):
         c = make_chart("hypersphere", {"R": 1.7, "n": 4})
         for x in interior_points(c, 2000, 7):
-            assert np.array_equal(jet2(c, x).position, c._position(x))
+            assert np.array_equal(jet2(c, x).position, c.position(x))
 
     def test_mode_fixed_at_construction(self):
         a = make_chart("paraboloid", {"c": 0.8})

@@ -940,12 +940,30 @@ class TestInequalityReport:
         for p in (2, 3):
             h = rng.uniform(-1.0, 1.0, (p, 7, 7))
             items.append((SecondForm(7, p, 0.5 * (h + h.transpose(0, 2, 1))), 0.0))
+        # The equality cases of the benchmark's synthetic corpus: one normal
+        # direction nu and a shape operator of the kind's spectrum in a
+        # random frame, h_r = nu_r Q^T diag(eigs) Q.
+        for n in range(3, 7):
+            for p in (1, 2, 3):
+                lam = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+                for eigs in ([0.0] * n, [lam] * n, [2.0 * lam] * (n - 1) + [lam],
+                             [lam] * (n - 1) + [2.0 * lam]):
+                    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                    nu = rng.standard_normal(p)
+                    A = Q.T @ np.diag(eigs) @ Q
+                    h = (nu / np.linalg.norm(nu))[:, None, None] * (0.5 * (A + A.T))
+                    items.append((SecondForm(n, p, h),
+                                  float(rng.choice([-1.0, 0.0, 1.0]))))
         items = [items[i] for i in rng.permutation(len(items))]
         reports = inequality_reports(items, classify_tol=1e-8)
         assert len(reports) == len(items)
         for (sf, c_tilde), rep in zip(items, reports):
+            # The batch sums each form as the per-form functions do.
+            traces = np.einsum("rii->r", sf.h)
+            assert (rep.C, rep.tau) == (casorati_total(sf), tau_from_h(sf, c_tilde))
+            assert rep.meanH == float(np.linalg.norm(traces) / sf.n)
             alone = inequality_report(sf, c_tilde)
-            for name in rep.__dataclass_fields__:
+            for name in rep._fields:
                 got, want = getattr(rep, name), getattr(alone, name)
                 if name in ("infCL", "supCL"):
                     assert (got.mode, got.value, got.certificate) == (
