@@ -18,7 +18,6 @@ import sys
 from collections import Counter
 from functools import partial
 from importlib import import_module
-from itertools import chain
 from pathlib import Path
 
 from . import CATALOG_NAMES
@@ -73,16 +72,21 @@ _CHART_NAMES = {
                    "domain_check", "make_chart"),
     "geometry": ("frame_at", "gauss_residual", "intrinsic_riemann", "second_form"),
 }
+_chart_modules = None           # the modules, once imported
 
 
 def _bind_chart_layer() -> None:
-    """Import the chart layer and bind `_CHART_NAMES` here. A name already
-    bound, such as a test's patch or a tracer's wrapper, is kept."""
-    with _EntryImports():
-        modules = {m: import_module(f".{m}", __package__) for m in _CHART_NAMES}
+    """Bind `_CHART_NAMES` here. Only the first call imports the chart
+    layer, under `_EntryImports`, so a later one freezes nothing. A name
+    already bound, such as a test's patch or a tracer's wrapper, is kept."""
+    global _chart_modules
+    if _chart_modules is None:
+        with _EntryImports():
+            _chart_modules = {m: import_module(f".{m}", __package__)
+                              for m in _CHART_NAMES}
     for m, names in _CHART_NAMES.items():
         for name in names:
-            globals().setdefault(name, getattr(modules[m], name))
+            globals().setdefault(name, getattr(_chart_modules[m], name))
 
 
 def __getattr__(name: str):
@@ -211,34 +215,15 @@ def _synthetic_from_dict(data: dict) -> tuple:
     if n > MAX_SYNTHETIC_N:
         raise ValueError(f"synthetic n = {n} exceeds the limit "
                          f"MAX_SYNTHETIC_N = {MAX_SYNTHETIC_N}")
-    _check_h_entries(data["h"])
-    h = np.asarray(data["h"], dtype=float)
-    return SecondForm(n, p, h), c_tilde  # validates shape and symmetry
-
-
-def _check_h_entries(h) -> None:
-    """Each entry of the nested lists h follows the rule of n, p and c_tilde
-    (`_synthetic_number`). The common case is checked a level of lists at a
-    time: lists of one depth over int and float entries, each less than
-    float_max in size. Anything else, a float_max entry included, takes the
-    walk, which names the entry at fault."""
-    level, kinds = [h], {type(h)}
-    while kinds == {list}:
-        level = list(chain.from_iterable(level))
-        kinds = set(map(type, level))
-    try:
-        # False for a NaN or infinite entry; each |entry| is at most the sum.
-        if kinds <= {int, float} and math.fsum(map(abs, level)) < sys.float_info.max:
-            return
-    except OverflowError:               # an int, or the sum, beyond the float range
-        pass
-    todo = [h]
+    todo = [data["h"]]  # each entry of h follows the rule of n, p and c_tilde
     while todo:
         x = todo.pop()
         if isinstance(x, list):
             todo += x
         else:
             _synthetic_number(x, "h entry")
+    h = np.asarray(data["h"], dtype=float)
+    return SecondForm(n, p, h), c_tilde  # validates shape and symmetry
 
 
 def _report_dict(rep: InvariantReport, frame_condition: float | None) -> dict:

@@ -40,10 +40,9 @@ __all__ = [
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Newton iteration cap of the p >= 2 hyperplane extremum, after the grid seed.
 _NEWTON_ITERS = 60
-# Bytes of the monomial matrix, and of the (forms, max p + 1, block)
-# products, of one block of the p >= 2 grid scan; a block is a power of two
-# of lattice points in [_GRID_MIN, _GRID_MAX], the floor overriding the
-# budget (n >= 11).
+# Bytes of the monomial matrix, and of the (p + 1, forms, block) products,
+# of one block of the p >= 2 grid scan; a block is a power of two of lattice
+# points in [_GRID_MIN, _GRID_MAX], the floor overriding the budget (n >= 11).
 _GRID_BYTES = 128 * 1024
 _GRID_MIN, _GRID_MAX = 256, 4096
 # Step halvings tried after a Newton step that does not improve its row.
@@ -135,7 +134,7 @@ class InvariantReport(NamedTuple):
 
 def casorati_total(h: SecondForm) -> float:
     """C = (1/n) sum_r sum_ij (h^r_ij)^2."""
-    return float(np.sum(h.h ** 2) / h.n)
+    return _scalars(h.h[None], np.zeros(1))[0].item()
 
 
 def _check_unit(u: np.ndarray, n: int) -> np.ndarray:
@@ -301,15 +300,12 @@ def _grid_newton(h, grid_size: int, modes: tuple):
     product per row i. A block is the longest power of two of at most
     `_GRID_MAX` points whose monomial matrix fits `_GRID_BYTES`, but no
     shorter than `_GRID_MIN`, which bounds the blocks per grid and so their
-    Python overhead. Each block is scanned for as many forms at once,
-    whatever their batch, as keep their (forms, P, block) products within
-    `_GRID_BYTES`, P = max_k p_k + 1: one stacked matrix product and one
-    argmin or argmax per mode serve such a chunk of forms. A form's rows
-    past its own p_k + 1 are zero, so they add exact zeros to f, and each
-    row of the product is summed over the monomials as it is alone (as
-    OpenBLAS's dgemm does, whatever the rows around it). So the scan's
-    memory grows neither with the batches nor with the grid size, and every
-    block and its monomials serve them all.
+    Python overhead. Each block is scanned for as many forms of one batch
+    at once as keep their (p_k + 1, forms, block) products within
+    `_GRID_BYTES`: one matrix product and one argmin or argmax per mode
+    serve such a chunk of forms, and f is summed in place over its rows.
+    So the scan's memory grows neither with the batches nor with the grid
+    size, and every block and its monomials serve them all.
     Each (mode, form) row keeps its own best node itself (the first least f
     for "inf", the first least -f for "sup"), so every node is made once and
     these (M, B, n) nodes are the Newton seeds, B = sum_k B_k. One Newton
@@ -347,18 +343,18 @@ def _grid_newton(h, grid_size: int, modes: tuple):
     block = _GRID_MAX
     while block > _GRID_MIN and 8 * iu.size * block > _GRID_BYTES:
         block //= 2
-    # The monomial coefficients of S and the slices, each form's P rows
-    # zero-padded, as (P bc, K) chunks of bc forms in (row, form) order, so
-    # that each row r of a chunk's products is one contiguous (bc, m) block.
-    P = max(ps) + 1
-    coef = np.zeros((P, B, iu.size))
+    # The monomial coefficients of S and the slices of each batch as
+    # ((p_k + 1) bc, K) chunks of bc forms in (row, form) order, so that
+    # each row r of a chunk's products is one contiguous (bc, m) block.
+    chunks = []                  # (first form, p_k + 1, coefficients)
     for x, Sk, b1 in zip(h, S, first):
-        coef[:x.shape[1] + 1, b1:b1 + x.shape[0]] = (
-            np.concatenate([Sk[:, None], x], axis=1)[:, :, iu, ju]
-            * np.where(iu == ju, 1.0, 2.0)).transpose(1, 0, 2)
+        P = x.shape[1] + 1
+        coef = (np.concatenate([Sk[:, None], x], axis=1)[:, :, iu, ju]
+                * np.where(iu == ju, 1.0, 2.0)).transpose(1, 0, 2)
+        bc = max(1, _GRID_BYTES // (8 * P * block))
+        chunks += [(b1 + b0, P, coef[:, b0:b0 + bc].reshape(-1, iu.size))
+                   for b0 in range(0, x.shape[0], bc)]
     t2 = np.concatenate(tr2)[:, None]
-    bc = max(1, _GRID_BYTES // (8 * P * block))
-    chunks = [(b0, coef[:, b0:b0 + bc].reshape(-1, iu.size)) for b0 in range(0, B, bc)]
     best = np.full((M, B), np.inf)                    # sign * f at the best node
     u = np.zeros((M, B, n))                           # the best node
     nodes = 0
@@ -370,7 +366,7 @@ def _grid_newton(h, grid_size: int, modes: tuple):
         for i in range(n):                            # the rows (i, i..n-1)
             np.multiply(U[i], U[i:], out=mon[k:k + n - i])
             k += n - i
-        for b0, c in chunks:
+        for b0, P, c in chunks:
             q = (c @ mon).reshape(P, -1, mon.shape[1])  # u^T S u, u^T h_r u
             f = q[0]                  # f = |h|^2 - 2 q_0 + q_1^2 + ..., in order
             f *= -2.0
@@ -527,11 +523,7 @@ def extremize_hyperplane(h: SecondForm, mode: str) -> HyperplaneExtremum:
 def tau_from_h(h: SecondForm, c_tilde: float = 0.0) -> float:
     """Scalar curvature of the Gauss-equation metric,
     2 tau = n^2 |H|^2 - n C + n(n-1) c_tilde."""
-    n = h.n
-    traces = np.einsum("rii->r", h.h)
-    H2 = float(np.sum(traces ** 2)) / n ** 2
-    C = casorati_total(h)
-    return 0.5 * (n * n * H2 - n * C + n * (n - 1) * c_tilde)
+    return _scalars(h.h[None], np.array([c_tilde], dtype=float))[2].item()
 
 
 # ---------------------------------------------------------------------------
@@ -760,12 +752,22 @@ def _check_items(items, batches: dict) -> None:
                      f"the invariants overflow")
 
 
+def _as_float(c_tilde) -> float:
+    """c_tilde as a float; NaN, which fails the range check, for one that is
+    not a number or is beyond the float range (a huge int)."""
+    try:
+        abs(c_tilde)                    # TypeError if not a number
+        return float(c_tilde)
+    except (TypeError, OverflowError):
+        return math.nan
+
+
 def _scalars(H: np.ndarray, c_tilde: np.ndarray) -> tuple:
     """C, |H| and tau of the forms H (B, p, n, n) at the ambient curvatures
-    c_tilde (B,). Each sum runs over one form as it does for that form alone,
-    so every value equals `casorati_total`'s, np.linalg.norm(traces) / n and
-    `tau_from_h`'s, bit for bit: the squares of h in one pairwise sum, the
-    traces' squares in a BLAS dot for |H| and in a pairwise sum for tau."""
+    c_tilde (B,), each sum running over one form as it does for that form
+    alone: the squares of h in one pairwise sum, the traces' squares in a
+    BLAS dot for |H| (as np.linalg.norm sums them) and in a pairwise sum
+    for tau. `casorati_total` and `tau_from_h` are its one-form case."""
     B, n = H.shape[0], H.shape[-1]
     C = (H * H).reshape(B, -1).sum(axis=1) / n
     traces = np.einsum("brii->br", H)
@@ -792,7 +794,7 @@ def inequality_reports(items, *, classify_tol: float = 1e-8) -> list:
     for i, (h, _) in enumerate(items):
         batches.setdefault((h.n, h.p), []).append(i)
     batches = {key: (idx, np.array([items[i][0].h for i in idx]),
-                     np.array([items[i][1] for i in idx], dtype=float))
+                     np.array([_as_float(items[i][1]) for i in idx]))
                for key, idx in batches.items()}
     _check_items(items, batches)
     groups = {}                          # (n, p > 1) -> its batches

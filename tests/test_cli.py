@@ -157,6 +157,17 @@ class TestImportCollector:
                           "print(gc.isenabled(), gc.get_freeze_count() > before)"])
         assert (done.returncode, done.stdout) == (0, f"True {frozen}\n"), done.stderr
 
+    def test_chart_layer_imports_once(self):
+        # A later bind, direct or through a deleted name read again, imports
+        # and freezes nothing, so the objects made since stay collectable.
+        done = run_child(["-c", "import gc, os, casorati.cli as cli; "
+                          "cli.main(['catalog', '--out', os.devnull]); "
+                          "made = [[] for _ in range(100)]; "
+                          "before = gc.get_freeze_count(); "
+                          "cli._bind_chart_layer(); del cli.frame_at; cli.frame_at; "
+                          "print(gc.isenabled(), gc.get_freeze_count() == before)"])
+        assert (done.returncode, done.stdout) == (0, "True True\n"), done.stderr
+
     def test_caller_disabled_collector_stays_off(self):
         done = run_child(["-c", "import gc; gc.disable(); "
                           "import casorati.cli; print(gc.isenabled())"])

@@ -1043,7 +1043,8 @@ class TestInequalityReport:
                                    * rep.infCL.value)
 
     @pytest.mark.parametrize("scale,c_tilde", [
-        (1e200, 0.0), (1.0, 1e308), (1.0, -1e308)])
+        (1e200, 0.0), (1.0, 1e308), (1.0, -1e308),
+        pytest.param(1.0, 10 ** 400, id="1.0-int-beyond-float")])
     @pytest.mark.parametrize("p", [1, 2])
     def test_overflowing_items_rejected(self, scale, c_tilde, p):
         h = np.zeros((p, 3, 3))
@@ -1056,7 +1057,7 @@ class TestInequalityReport:
     @pytest.mark.parametrize("n,p", [(3, 1), (3, 2), (6, 3)])
     def test_finite_at_range_bound(self, n, p):
         # The largest accepted max |h| and |c_tilde|, as derived in
-        # `_check_range`; warnings are errors, so no step may overflow.
+        # `_check_items`; warnings are errors, so no step may overflow.
         h_max = sys.float_info.max ** 0.25 / (8.0 * n * math.sqrt(p))
         c_max = sys.float_info.max / (32.0 * n * n)
         rng = np.random.default_rng(7)
