@@ -104,10 +104,10 @@ class Chart(NamedTuple):
         return self.n + self.p
 
 
-def _get_param(params: dict, key: str, default: float, positive: bool = True) -> float:
+def _get_param(params: dict, key: str, default: float) -> float:
     v = float(params.get(key, default))
-    if positive and v <= 0.0:
-        raise ValueError(f"parameter {key!r} must be positive, got {v}")
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"parameter {key!r} must be positive and finite, got {v}")
     return v
 
 

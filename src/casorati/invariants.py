@@ -141,7 +141,7 @@ def _check_unit(u: np.ndarray, n: int) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (n,):
         raise ValueError(f"u must be a vector of length {n}")
-    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(u) - 1.0) <= 1e-10:
         raise ValueError("u must be a unit vector (|u| = 1 to 1e-10)")
     return u
 
@@ -290,13 +290,98 @@ def _values_at(h, S, tr2, u):
     return tr2 - 2.0 * uSu + (quad * quad).sum(-1)
 
 
-def _grid_newton(h, grid_size: int, modes: tuple):
-    """Grid seed plus safeguarded Riemannian Newton for the forms of h, one
-    (B, p, n, n) batch or a list of (B_k, p_k, n, n) batches of one n.
+def _newton(h, S, tr2, grid_f, u, signs):
+    """Safeguarded Riemannian Newton for the forms h (B, p, n, n) of one
+    batch, with S = sum_r h_r^2 (B, n, n) and tr2 = |h|^2 (B,), from the
+    seeds u (M, B, n) and their values grid_f (M, B), M = len(signs).
 
-    The grid `sphere_grid(n, grid_size)` is made and scanned one block of
-    lattice points at a time (`_grid_blocks`), with u^T A u summed over the
-    n(n+1)/2 upper-triangle monomials u_i u_j, made with one broadcast
+    One iteration runs on the sphere over all B * M (form, mode) rows, each
+    with its sign (+1 for "inf", -1 for "sup"): the restricted Hessian is
+    clipped to be positive (for the row's direction), and a backtracking
+    line search tries the full step, then its halvings, on the rows still
+    pending until the value improves. A row stops once its tangent gradient
+    is below 1e-14 (1 + |h|^2), its full step fails with a model decrease
+    below that scale, a failed step rounds back onto its current point, or
+    no halving improves it. Every operation acts on one row at a time or
+    elementwise, so a result depends neither on the other forms of the
+    batch nor on the modes asked for. Returns the polished values (M, B),
+    points (M, B, n) and the iterations each row ran (M, B), 1 to
+    `_NEWTON_ITERS`: every iteration that starts with the row live.
+    """
+    B, _, n, _ = h.shape
+    M = signs.size
+    # Rows are (form, mode) pairs, form-major.
+    form = np.repeat(np.arange(B), M)
+    sign = np.tile(signs, B)
+    h, S, tr2 = h[form], S[form], tr2[form]
+    f = grid_f.T.flatten()                           # a copy: polished in place
+    u = u.transpose(1, 0, 2).reshape(B * M, n)        # the seeds, polished in place
+    scale = 1.0 + tr2
+    eye = np.eye(n)
+    live = np.ones(B * M, dtype=bool)
+    iters = np.zeros(B * M, dtype=int)
+    for _ in range(_NEWTON_ITERS):
+        idx = np.flatnonzero(live)
+        iters[idx] += 1
+        hl, Sl, ul, sl = h[idx], S[idx], u[idx], sign[idx]
+        hu = (hl @ ul[:, None, :, None])[..., 0]    # (L, p, n)
+        quad = (hu * ul[:, None, :]).sum(-1)          # (L, p)
+        g = sl[:, None] * (-4.0 * (Sl @ ul[:, :, None])[..., 0]
+                           + 4.0 * (quad[:, None, :] @ hu)[:, 0])
+        gu = (g * ul).sum(-1)
+        g_r = g - gu[:, None] * ul
+        moving = np.sqrt((g_r * g_r).sum(-1)) > 1e-14 * scale[idx]
+        live[idx[~moving]] = False
+        if not moving.any():
+            break
+        idx, hl, Sl, ul, sl, hu, quad, g, gu = (
+            x[moving] for x in (idx, hl, Sl, ul, sl, hu, quad, g, gu))
+        L = idx.size
+        Q, _ = np.linalg.qr(np.concatenate(
+            [ul[:, :, None], np.broadcast_to(eye, (L, n, n))], axis=2))
+        V = Q[:, :, 1:]                               # tangent basis at u
+        Vt = V.transpose(0, 2, 1)
+        H = (sl[:, None, None] * (-4.0 * Sl + 8.0 * (hu.transpose(0, 2, 1) @ hu)
+                                  + 4.0 * (quad[:, :, None, None] * hl).sum(axis=1))
+             - gu[:, None, None] * eye)
+        w, E = np.linalg.eigh(Vt @ H @ V)
+        floor = 1e-8 * (1.0 + np.abs(w).max(-1))
+        w = np.maximum(w, floor[:, None])
+        step = -(V @ (E @ ((E.transpose(0, 2, 1) @ (Vt @ g[:, :, None]))
+                           / w[:, :, None])))[..., 0]
+        # Backtracking over the rows still pending, t = 1, 1/2, ...,
+        # 2^-_HALVINGS: a row moves to its first candidate that lowers
+        # sign * f. It stops, converged to rounding, if a failed candidate
+        # rounds back onto ul, if its full step fails with a model decrease
+        # -g^T s of at most 1e-14 (1 + |h|^2), or if no try improves it.
+        live[idx] = False
+        flat = (g * step).sum(-1) >= -1e-14 * scale[idx]
+        pend = np.arange(L)
+        t = 1.0
+        for _ in range(_HALVINGS + 1):
+            cand = ul[pend] + t * step[pend]
+            cand /= np.sqrt((cand * cand).sum(-1))[:, None]
+            j = idx[pend]
+            fc = _values_at(hl[pend], Sl[pend], tr2[j], cand)
+            ok = sl[pend] * fc < sl[pend] * f[j]
+            u[j[ok]], f[j[ok]] = cand[ok], fc[ok]
+            live[j[ok]] = True
+            pend = pend[~(ok | flat | (cand == ul[pend]).all(-1))]
+            if pend.size == 0:
+                break
+            flat = False                 # only a failed full step converges
+            t *= 0.5
+    return (f.reshape(B, M).T, u.reshape(B, M, n).transpose(1, 0, 2),
+            iters.reshape(B, M).T)
+
+
+def _grid_newton(h, grid_size: int, modes: tuple):
+    """Grid seed plus `_newton` polish for the forms of h, one (B, p, n, n)
+    batch or a list of (B_k, p_k, n, n) batches of one n.
+
+    The grid `sphere_grid(n, grid_size)` is made and scanned once, one block
+    of lattice points at a time (`_grid_blocks`), with u^T A u summed over
+    the n(n+1)/2 upper-triangle monomials u_i u_j, made with one broadcast
     product per row i. A block is the longest power of two of at most
     `_GRID_MAX` points whose monomial matrix fits `_GRID_BYTES`, but no
     shorter than `_GRID_MIN`, which bounds the blocks per grid and so their
@@ -308,30 +393,15 @@ def _grid_newton(h, grid_size: int, modes: tuple):
     size, and every block and its monomials serve them all.
     Each (mode, form) row keeps its own best node itself (the first least f
     for "inf", the first least -f for "sup"), so every node is made once and
-    these (M, B, n) nodes are the Newton seeds, B = sum_k B_k. One Newton
-    iteration runs on the sphere over all B * len(modes) (form, mode) rows,
-    each with its own sign: the restricted Hessian is clipped to be positive
-    (for the row's direction), and a backtracking line search tries the full
-    step, then its halvings, on the rows still pending until the value
-    improves. A row stops once its tangent gradient is below
-    1e-14 (1 + |h|^2), its full step fails with a model decrease below that
-    scale, a failed step rounds back onto its current point, or no halving
-    improves it. The rows hold their forms zero-padded to max_k p_k slices,
-    but every sum over slices takes a form's own p_k, as its batch alone
-    would: one zero slice more can regroup a sum (OpenBLAS's matrix-vector
-    kernel adds 4 columns at a time, numpy's pairwise sum 8 terms from 8
-    on). S = sum_r h_r^2 and |h|^2 come from each batch's own slices too.
-    Every operation acts on one row at a time or elementwise, so a result
-    depends neither on the batch its form came in nor on the other batches
-    or modes asked for.
+    these nodes seed one Newton loop per batch, over that batch's own p
+    slices. A result depends neither on the batch its form came in nor on
+    the other batches or modes asked for.
     Returns (n-1) C(u-perp) at the polished points (M, B), the unit points
-    u (M, B, n), the best grid values (M, B), M = len(modes), the number
-    of grid nodes, and the Newton iterations each row ran (M, B), 1 to
-    `_NEWTON_ITERS`: every iteration that starts with the row live.
+    u (M, B, n), the best grid values (M, B), M = len(modes), B = sum_k B_k,
+    the number of grid nodes, and the Newton iterations each row ran (M, B).
     """
     h = [np.ascontiguousarray(x) for x in ([h] if isinstance(h, np.ndarray) else h)]
     n = h[0].shape[2]
-    ps = [x.shape[1] for x in h]
     first = np.cumsum([0] + [x.shape[0] for x in h])   # batch k: first[k]:first[k+1]
     B = first[-1]
     signs = np.array([1.0 if mode == "inf" else -1.0 for mode in modes])
@@ -383,96 +453,19 @@ def _grid_newton(h, grid_size: int, modes: tuple):
             top[better] = v[better]
             at[better] = U.T[a[better]]
     grid_f = signs[:, None] * best
-
-    # Newton rows are (form, mode) pairs, form-major: batch k's rows are
-    # M first[k]:M first[k+1].
-    form = np.repeat(np.arange(B), M)
-    sign = np.tile(signs, B)
-    hp = np.zeros((B, max(ps), n, n))
-    for x, b1 in zip(h, first):
-        hp[b1:b1 + x.shape[0], :x.shape[1]] = x
-    h, S, tr2 = hp[form], np.concatenate(S)[form], np.concatenate(tr2)[form]
-    f = grid_f.T.flatten()                           # a copy: polished in place
-    u = u.transpose(1, 0, 2).reshape(B * M, n)        # the seeds, polished in place
-    scale = 1.0 + tr2
-    eye = np.eye(n)
-    live = np.ones(B * M, dtype=bool)
-    iters = np.zeros(B * M, dtype=int)
-
-    def spans(rows):
-        """(a, b, p_k) for each batch k whose rows, in ascending `rows`, are
-        rows[a:b]."""
-        edges = np.searchsorted(rows, M * first)
-        return [(a, b, p) for a, b, p in zip(edges[:-1], edges[1:], ps) if a < b]
-
-    for _ in range(_NEWTON_ITERS):
-        idx = np.flatnonzero(live)
-        iters[idx] += 1
-        L = idx.size
-        hl, Sl, ul, sl = h[idx], S[idx], u[idx], sign[idx]
-        hu = (hl @ ul[:, None, :, None])[..., 0]    # (L, p, n)
-        quad = (hu * ul[:, None, :]).sum(-1)          # (L, p)
-        qhu, hh, qh = np.empty((L, n)), np.empty((L, n, n)), np.empty((L, n, n))
-        for a, b, p in spans(idx):      # sum_r of quad_r hu_r, hu_r^T hu_r, quad_r h_r
-            hq = hu[a:b, :p]
-            qhu[a:b] = (quad[a:b, None, :p] @ hq)[:, 0]
-            hh[a:b] = hq.transpose(0, 2, 1) @ hq
-            qh[a:b] = (quad[a:b, :p, None, None] * hl[a:b, :p]).sum(axis=1)
-        g = sl[:, None] * (-4.0 * (Sl @ ul[:, :, None])[..., 0] + 4.0 * qhu)
-        gu = (g * ul).sum(-1)
-        g_r = g - gu[:, None] * ul
-        moving = np.sqrt((g_r * g_r).sum(-1)) > 1e-14 * scale[idx]
-        live[idx[~moving]] = False
-        if not moving.any():
-            break
-        idx, hl, Sl, ul, sl, hh, qh, g, gu = (
-            x[moving] for x in (idx, hl, Sl, ul, sl, hh, qh, g, gu))
-        L = idx.size
-        Q, _ = np.linalg.qr(np.concatenate(
-            [ul[:, :, None], np.broadcast_to(eye, (L, n, n))], axis=2))
-        V = Q[:, :, 1:]                               # tangent basis at u
-        Vt = V.transpose(0, 2, 1)
-        H = (sl[:, None, None] * (-4.0 * Sl + 8.0 * hh + 4.0 * qh)
-             - gu[:, None, None] * eye)
-        w, E = np.linalg.eigh(Vt @ H @ V)
-        floor = 1e-8 * (1.0 + np.abs(w).max(-1))
-        w = np.maximum(w, floor[:, None])
-        step = -(V @ (E @ ((E.transpose(0, 2, 1) @ (Vt @ g[:, :, None]))
-                           / w[:, :, None])))[..., 0]
-        # Backtracking over the rows still pending, t = 1, 1/2, ...,
-        # 2^-_HALVINGS: a row moves to its first candidate that lowers
-        # sign * f. It stops, converged to rounding, if a failed candidate
-        # rounds back onto ul, if its full step fails with a model decrease
-        # -g^T s of at most 1e-14 (1 + |h|^2), or if no try improves it.
-        live[idx] = False
-        flat = (g * step).sum(-1) >= -1e-14 * scale[idx]
-        pend = np.arange(L)
-        t = 1.0
-        for _ in range(_HALVINGS + 1):
-            cand = ul[pend] + t * step[pend]
-            cand /= np.sqrt((cand * cand).sum(-1))[:, None]
-            j = idx[pend]
-            fc = np.concatenate([
-                _values_at(hl[pend[a:b], :p], Sl[pend[a:b]], tr2[j[a:b]], cand[a:b])
-                for a, b, p in spans(j)])
-            ok = sl[pend] * fc < sl[pend] * f[j]
-            u[j[ok]], f[j[ok]] = cand[ok], fc[ok]
-            live[j[ok]] = True
-            pend = pend[~(ok | flat | (cand == ul[pend]).all(-1))]
-            if pend.size == 0:
-                break
-            flat = False                 # only a failed full step converges
-            t *= 0.5
-    return (f.reshape(B, M).T, u.reshape(B, M, n).transpose(1, 0, 2), grid_f,
-            nodes, iters.reshape(B, M).T)
+    polished = [_newton(x, Sk, t, grid_f[:, b:b + len(x)], u[:, b:b + len(x)], signs)
+                for x, Sk, t, b in zip(h, S, tr2, first)]
+    f, u, iters = (np.concatenate(z, axis=1) for z in zip(*polished))
+    return f, u, grid_f, nodes, iters
 
 
 def _extrema(h: list, modes: tuple) -> list:
     """`HyperplaneExtremum`s of the forms of h, a list of (B_k, p_k, n, n)
     batches of one n >= 3: a list over `modes` of lists over the forms,
     batch after batch. A p = 1 batch comes alone and takes the closed form;
-    p >= 2 batches share one `_grid_newton` call on the grid of
-    4096 2^(n-3) nodes, at most 32768, that serves every mode."""
+    p >= 2 batches share one `_grid_newton` call: one scan of the grid of
+    4096 2^(n-3) nodes, at most 32768, for every mode, and one Newton loop
+    per (n, p) batch."""
     n = h[0].shape[2]
     B = sum(x.shape[0] for x in h)
     if h[0].shape[1] == 1:
@@ -783,8 +776,9 @@ def inequality_reports(items, *, classify_tol: float = 1e-8) -> list:
     gets its C, |H|, tau, delta-curvatures and slacks at once (`_scalars`);
     each form is classified alone. The forms are grouped by n, the p = 1
     forms apart, and each group's extrema come from one `_extrema` call for
-    both modes: one eigendecomposition batch for p = 1, and one grid scan
-    and one Newton loop for every p >= 2 form of the group, whatever its p.
+    both modes: one eigendecomposition batch for p = 1, and for p >= 2 one
+    grid scan for every form of the group, whatever its p, and one Newton
+    loop per (n, p) batch.
     Every value equals that of the form reported alone, bit for bit.
     `classify_tol` is checked as `classify_ideal` checks its tol, before any
     extremum.

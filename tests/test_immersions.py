@@ -52,6 +52,16 @@ class TestCatalog:
             make_chart("hypersphere", {"R": -1.0})
         with pytest.raises(ValueError):
             make_chart("chen_ideal", {"a": 0.0})
+        # A NaN or infinite parameter built a chart; chen_ideal's NaN failed
+        # with a message about an empty axis.
+        for chart, key, v in (("hypersphere", "R", math.nan),
+                              ("flat_torus", "r1", math.nan),
+                              ("paraboloid", "c", math.inf),
+                              ("chen_ideal", "a", math.nan),
+                              ("chen_ideal", "a", -math.inf)):
+            with pytest.raises(ValueError, match=f"parameter '{key}' must be "
+                               "positive and finite"):
+                make_chart(chart, {key: v})
 
     def test_unknown_params_named(self):
         with pytest.raises(ValueError, match=r"\['R', 'a'\].*\['c'\]"):

@@ -92,6 +92,11 @@ class TestCasoratiHyperplane:
     def test_rejects_nonunit(self):
         with pytest.raises(ValueError):
             casorati_hyperplane(diag_form(1.0, 1.0, 2.0), [1.0, 1.0, 0.0])
+        # A NaN vector passed the norm check and gave a NaN value.
+        with pytest.raises(ValueError, match="unit vector"):
+            casorati_hyperplane(diag_form(1.0, 1.0, 2.0), [math.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="unit vector"):
+            proof_polynomial(diag_form(1.0, 1.0, 2.0), [math.nan, 0.0, 0.0], "P")
 
 
 class TestExtremize:
@@ -582,6 +587,26 @@ class TestStreamedGrid:
         assert np.all(np.abs(got[0] - want[0]) <= 1e-14 * scale)
         assert np.array_equal(bits(got[2]), bits(want[2]))
 
+    @pytest.mark.parametrize("corpus, n, p", [
+        *(("A", n, p) for n, p in CORPUS_A[2]),
+        *(("B", n, p) for n, p in CORPUS_B[2])])
+    def test_normal_frame_moves(self, corpus, n, p):
+        # Every per-slice sum adds squares or products of two slice terms, so
+        # negating a slice leaves each term's bits as they were; reversing
+        # the slices only regroups the sums.
+        h = roadmap_forms(*(CORPUS_A if corpus == "A" else CORPUS_B))[n, p]
+        size = min(32768, 4096 * 2 ** (n - 3))
+        want = _grid_newton(h, size, ("inf", "sup"))
+        negated = h.copy()
+        negated[:, 0] *= -1.0
+        got = _grid_newton(negated, size, ("inf", "sup"))
+        for g, w in zip(got[:3], want[:3]):          # values, u, grid values
+            assert np.array_equal(bits(g), bits(w))
+        assert np.array_equal(got[4], want[4])
+        got = _grid_newton(h[:, ::-1], size, ("inf", "sup"))
+        scale = 1.0 + (h * h).sum(axis=(1, 2, 3))
+        assert np.all(np.abs(got[0] - want[0]) <= 1e-9 * scale)
+
     @pytest.mark.parametrize("n, p", CORPUS_A[2])
     def test_line_search_evaluations_per_row(self, monkeypatch, n, p):
         # The replay of all 30 step halvings took 29.0 to 36.5 candidate
@@ -973,9 +998,9 @@ class TestInequalityReport:
                     assert got == want, name
 
     def test_reports_match_single_form_across_slice_counts(self):
-        # Every p >= 2 form of one n shares a grid scan and a Newton loop,
-        # whatever its p: p = 2 and 3 beside p = 4, 5, 8 and 9 (a zero slice
-        # more regroups OpenBLAS's matrix-vector sums from 4 columns on, and
+        # Every p >= 2 form of one n shares a grid scan, whatever its p:
+        # p = 2 and 3 beside p = 4, 5, 8 and 9 (a zero slice more would
+        # regroup OpenBLAS's matrix-vector sums from 4 columns on, and
         # numpy's pairwise sum from 8 terms on).
         rng = np.random.default_rng(29)
         items = []
@@ -990,6 +1015,7 @@ class TestInequalityReport:
             for got, want in ((rep.infCL, alone.infCL), (rep.supCL, alone.supCL)):
                 assert bits(got.value) == bits(want.value)
                 assert np.array_equal(bits(got.u), bits(want.u))
+                assert got.certificate == want.certificate   # iterations too
             assert (rep.delta_hat, rep.delta_C) == (alone.delta_hat, alone.delta_C)
 
     def test_one_grid_pass_per_dimension(self, monkeypatch):
