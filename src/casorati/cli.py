@@ -451,7 +451,7 @@ def _cmd_verify(args) -> int:
             items.append((sf, 0.0) if chart.n >= 3 else None)
 
     violations = []
-    worst_slack = ("", math.inf)
+    worst_slack = ("", math.inf)  # the first point whose slack prints lowest
     worst_gauss = ("", 0.0)
     for label, resid, rep in zip(labels, resids, _batch_reports(items, jet_mode)):
         if resid is not None:
@@ -463,7 +463,7 @@ def _cmd_verify(args) -> int:
             s = min(rep.slack11, rep.slack41)
             if math.isnan(rep.slack41):  # min() keeps slack11 against a NaN
                 s = rep.slack41
-            if s < worst_slack[1]:
+            if float(f"{s:.6e}") < float(f"{worst_slack[1]:.6e}"):
                 worst_slack = (label, s)
             if not s >= -args.tol_algebraic:  # a NaN slack fails
                 violations.append(f"{label}: slack {s:.3e}")

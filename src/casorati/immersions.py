@@ -4,7 +4,9 @@ Every chart maps an open parameter box in R^n into R^(n+p). Its jet mode is
 fixed when it is built: an analytic chart takes its first partials and 2-jets
 in closed form, a numeric one by central differences of the position with one
 Richardson extrapolation level. `first_partials`, `jet2` and `domain_check`
-read the chart and do not branch on its mode or its name.
+read the chart and do not branch on its mode or its name. The curved charts
+are built from one sphere part, `_sphere`, and two combinators, `_rotation`
+and `_product`.
 
 One stencil kernel serves numeric jets and the intrinsic curvature oracle of
 `casorati.geometry`: `_stencil` builds the centres and their moved points,
@@ -15,6 +17,7 @@ numeric first partials at any number of points, is one `position` call.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -42,7 +45,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 # Largest Gram-matrix condition number `geometry.frame_at` accepts.
 COND_LIMIT = 1e8
 # Largest hypersphere dimension n: an analytic 2-jet takes O(n^3) time and
@@ -105,10 +107,11 @@ class Chart(NamedTuple):
 
 
 def _get_param(params: dict, key: str, default: float) -> float:
-    v = float(params.get(key, default))
-    if not 0.0 < v < math.inf:
-        raise ValueError(f"parameter {key!r} must be positive and finite, got {v}")
-    return v
+    v = params.get(key, default)
+    # A bool is an int; float() of an int past the float range overflows.
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v <= sys.float_info.max:
+        return float(v)
+    raise ValueError(f"parameter {key!r} must be positive and finite, got {v!r}")
 
 
 def _outside(names) -> tuple:
@@ -116,19 +119,20 @@ def _outside(names) -> tuple:
     return tuple((f"outside open domain (axis {a})",) * 2 for a in names)
 
 
-# --- hypersphere: round S^n(R) in E^(n+1), polar angles ------------------
+# --- parts: the sphere and the two combinators that build curved charts --
 
-def _make_hypersphere(params: dict, margin: float) -> Chart:
-    R = _get_param(params, "R", 1.0)
-    n = float(params.get("n", 2))
-    if not n.is_integer():
-        raise ValueError(f"hypersphere dimension n must be an integer, got {n}")
-    n = int(n)
-    if n < 2:
-        raise ValueError("hypersphere needs intrinsic dimension n >= 2")
-    if n > MAX_SPHERE_N:
-        raise ValueError(f"hypersphere dimension n = {n} exceeds the limit "
-                         f"MAX_SPHERE_N = {MAX_SPHERE_N}")
+class _Part(NamedTuple):
+    """An immersion of R^n into E^N: a `Chart` without a domain."""
+
+    n: int
+    N: int
+    position: Callable
+    first_partials: Callable
+    jet: Callable
+
+
+def _sphere(n: int, R: float) -> _Part:
+    """The round S^n(R) in E^(n+1) in polar angles phi_1 .. phi_n."""
     N = n + 1
     eye = np.eye(n, dtype=bool)
     # Coordinate m depends on phi_0 .. phi_m only: its partials along later
@@ -161,103 +165,130 @@ def _make_hypersphere(params: dict, margin: float) -> Chart:
             s, c = s.tolist(), c.tolist()
         return np.array(coords(s, c)).T
 
-    def analytic_d1(x: np.ndarray) -> np.ndarray:
+    def first_partials(x: np.ndarray) -> np.ndarray:
         s, c = derivative(np.sin(x.T), np.cos(x.T))
         return np.where(depends, np.array(coords(s, c)).T, 0.0)
 
-    def analytic_jet(x: np.ndarray) -> Jet2:
+    def jet(x: np.ndarray) -> Jet2:
         s, c = derivative(*derivative(np.sin(x), np.cos(x)))
         d2 = np.where(depends[:, None] & depends, np.array(coords(s, c)).T, 0.0)
-        return Jet2(position(x), analytic_d1(x), d2)
+        return Jet2(position(x), first_partials(x), d2)
 
+    return _Part(n, N, position, first_partials, jet)
+
+
+def _rotation(profile: Callable, sphere: _Part) -> _Part:
+    """The rotation (rho(t) S, z(t)) of a profile by a unit sphere part S on
+    points (t, psi), psi the latitudes pi/2 - phi of S's polar angles phi.
+    `profile(t, height)` gives (rho, rho', rho'', z, z', z'') at one t; z may
+    be NaN when `height` is false."""
+    n, N = sphere.n + 1, sphere.N + 1
+
+    def terms(x: np.ndarray, height: bool) -> np.ndarray:
+        # The profile takes one t at a time, so it loops over the points.
+        t = x[..., 0]
+        values = np.array([profile(s, height) for s in t.ravel()])
+        return values.T.reshape((6,) + t.shape + (1,))
+
+    def rows(f, fp, g, S, dS) -> np.ndarray:
+        # Partials along t and psi of (f(t) S, G(t)) with G' = g, from S's
+        # partials dS along psi: (fp S, g), then (f dS, 0) per angle.
+        out = np.zeros(dS.shape[:-2] + (n, N))
+        out[..., 0, :-1] = fp * S
+        out[..., 0, -1:] = g
+        out[..., 1:, :-1] = f[..., None] * dS
+        return out
+
+    def position(x: np.ndarray) -> np.ndarray:
+        r, _, _, z, _, _ = terms(x, True)
+        return np.concatenate([r * sphere.position(0.5 * math.pi - x[..., 1:]), z], axis=-1)
+
+    def first_partials(x: np.ndarray) -> np.ndarray:
+        r, rp, _, _, zp, _ = terms(x, False)
+        phi = 0.5 * math.pi - x[..., 1:]
+        return rows(r, rp, zp, sphere.position(phi), -sphere.first_partials(phi))
+
+    def jet(x: np.ndarray) -> Jet2:
+        r, rp, rpp, z, zp, zpp = terms(x, True)
+        S = sphere.jet(0.5 * math.pi - x[1:])
+        dS = -S.d1
+        d2 = np.concatenate([rows(rp, rpp, zpp, S.position, dS)[None],
+                             rows(r, rp, 0.0, dS, S.d2)])
+        return Jet2(np.concatenate([r * S.position, z]),
+                    rows(r, rp, zp, S.position, dS), d2)
+
+    return _Part(n, N, position, first_partials, jet)
+
+
+def _product(a: _Part, b: _Part) -> _Part:
+    """The product (A(x_a), B(x_b)) of two parts: block-diagonal partials."""
+    n, N = a.n + b.n, a.N + b.N
+
+    def position(x: np.ndarray) -> np.ndarray:
+        return np.concatenate([a.position(x[..., :a.n]), b.position(x[..., a.n:])],
+                              axis=-1)
+
+    def first_partials(x: np.ndarray) -> np.ndarray:
+        d1 = np.zeros(x.shape[:-1] + (n, N))
+        d1[..., :a.n, :a.N] = a.first_partials(x[..., :a.n])
+        d1[..., a.n:, a.N:] = b.first_partials(x[..., a.n:])
+        return d1
+
+    def jet(x: np.ndarray) -> Jet2:
+        ja, jb = a.jet(x[:a.n]), b.jet(x[a.n:])
+        d1, d2 = np.zeros((n, N)), np.zeros((n, n, N))
+        d1[:a.n, :a.N], d1[a.n:, a.N:] = ja.d1, jb.d1
+        d2[:a.n, :a.n, :a.N], d2[a.n:, a.n:, a.N:] = ja.d2, jb.d2
+        return Jet2(np.concatenate([ja.position, jb.position]), d1, d2)
+
+    return _Part(n, N, position, first_partials, jet)
+
+
+# --- hypersphere: round S^n(R) in E^(n+1), polar angles ------------------
+
+def _make_hypersphere(params: dict, margin: float) -> Chart:
+    R = _get_param(params, "R", 1.0)
+    n = _get_param(params, "n", 2)
+    if not (n.is_integer() and 2 <= n <= MAX_SPHERE_N):
+        raise ValueError(f"hypersphere dimension n must be an integer from 2 to "
+                         f"MAX_SPHERE_N = {MAX_SPHERE_N}, got {n}")
+    n = int(n)
     domain = tuple((margin, math.pi - margin) for _ in range(n - 1)) + ((0.0, 2.0 * math.pi),)
     names = tuple(f"phi{j + 1}" for j in range(n))
     boundary = tuple((f"polar coordinate singularity (axis {a})",) * 2
                      for a in names[:-1]) + _outside(names[-1:])
     return Chart("hypersphere", n, 1, domain, names, "analytic", {"R": R, "n": n},
-                 position, analytic_d1, analytic_jet, boundary)
+                 *_sphere(n, R)[2:], boundary)
 
 
 # --- chen_ideal: rotational hypersurface of E^4 with sd-profile ----------
 
 def _make_chen_ideal(params: dict, margin: float) -> Chart:
     a = _get_param(params, "a", 1.0)
-    k = _SQRT_HALF
-    Kk = complete_K(k)
-    t_hi = 2.0 * Kk / a
+    k = 1.0 / math.sqrt(2.0)
 
-    def profile_terms(sn: float, cn: float, dn: float):
+    def profile(t: float, height: bool) -> tuple:
+        # A scalar profile: the Landen sweep's math.asin and np.arcsin round
+        # differently on some arguments. First partials need no height z and
+        # take sn, cn, dn from `jacobi_elliptic`; otherwise one Landen sweep
+        # gives them and z(t) = 1/2 int_0^t sd(a s)^2 ds in closed form.
+        if height:
+            sn, cn, dn, sd2_integral = _jacobi_sd_squared_integral(a * t, k)
+        else:
+            e = jacobi_elliptic(a * t, k)
+            sn, cn, dn, sd2_integral = e.sn, e.cn, e.dn, math.nan
         sd = sn / dn
-        r = sd / a
         rp = cn / dn ** 2
-        rpp = a * sn * (2.0 * k * k * cn * cn - dn * dn) / dn ** 3
-        zp = 0.5 * sd * sd
-        zpp = a * sd * rp
-        return r, rp, rpp, zp, zpp
+        return (sd / a, rp, a * sn * (2.0 * k * k * cn * cn - dn * dn) / dn ** 3,
+                sd2_integral / (2.0 * a), 0.5 * sd * sd, a * sd * rp)
 
-    def profile_and_height(t: float):
-        # One Landen sweep gives the profile and the height
-        # z(t) = 1/2 int_0^t sd(a s)^2 ds, in closed form.
-        sn, cn, dn, sd2_integral = _jacobi_sd_squared_integral(a * t, k)
-        return profile_terms(sn, cn, dn), sd2_integral / (2.0 * a)
-
-    def sphere_dir(u: float, v: float):
-        su, cu = math.sin(u), math.cos(u)
-        sv, cv = math.sin(v), math.cos(v)
-        S = np.array([su, cu * sv, cu * cv])
-        Su = np.array([cu, -su * sv, -su * cv])
-        Sv = np.array([0.0, cu * cv, -cu * sv])
-        Suu = -S
-        Suv = np.array([0.0, -su * cv, su * sv])
-        Svv = np.array([0.0, -cu * sv, -cu * cv])
-        return S, Su, Sv, Suu, Suv, Svv
-
-    def position(x: np.ndarray) -> np.ndarray:
-        t, u, v = x
-        (r, *_), z = profile_and_height(t)
-        S = sphere_dir(u, v)[0]
-        return np.append(r * S, z)
-
-    def d1_from(r, rp, zp, S, Su, Sv) -> np.ndarray:
-        d1 = np.zeros((3, 4))
-        d1[0, :3] = rp * S
-        d1[0, 3] = zp
-        d1[1, :3] = r * Su
-        d1[2, :3] = r * Sv
-        return d1
-
-    def analytic_d1(x: np.ndarray) -> np.ndarray:
-        # First partials never need the height z, only z' = sd^2 / 2.
-        t, u, v = x
-        trip = jacobi_elliptic(a * t, k)
-        r, rp, _, zp, _ = profile_terms(trip.sn, trip.cn, trip.dn)
-        return d1_from(r, rp, zp, *sphere_dir(u, v)[:3])
-
-    def analytic_jet(x: np.ndarray) -> Jet2:
-        t, u, v = x
-        (r, rp, rpp, zp, zpp), z = profile_and_height(t)
-        S, Su, Sv, Suu, Suv, Svv = sphere_dir(u, v)
-        pos = np.append(r * S, z)
-        d2 = np.zeros((3, 3, 4))
-        d2[0, 0, :3] = rpp * S
-        d2[0, 0, 3] = zpp
-        d2[0, 1, :3] = d2[1, 0, :3] = rp * Su
-        d2[0, 2, :3] = d2[2, 0, :3] = rp * Sv
-        d2[1, 1, :3] = r * Suu
-        d2[1, 2, :3] = d2[2, 1, :3] = r * Suv
-        d2[2, 2, :3] = r * Svv
-        return Jet2(pos, d1_from(r, rp, zp, S, Su, Sv), d2)
-
-    domain = ((margin, t_hi - margin),
+    domain = ((margin, 2.0 * complete_K(k) / a - margin),
               (-0.5 * math.pi + margin, 0.5 * math.pi - margin),
               (0.0, 2.0 * math.pi))
     boundary = (("rotational axis (t near 0)", "domain endpoint (t near 2K/a)"),
                 ("coordinate singularity (cos u near 0)",) * 2) + _outside(("v",))
-    # Points of shape (G, n) loop over the scalar Landen sweep: np.arcsin
-    # rounds differently from its math.asin on some arguments.
     return Chart("chen_ideal", 3, 1, domain, ("t", "u", "v"), "analytic", {"a": a},
-                 _per_point(position), _per_point(analytic_d1), analytic_jet,
-                 boundary)
+                 *_rotation(profile, _sphere(2, 1.0))[2:], boundary)
 
 
 # --- flat_torus: S^1(r1) x S^1(r2) in E^4 --------------------------------
@@ -265,32 +296,10 @@ def _make_chen_ideal(params: dict, margin: float) -> Chart:
 def _make_flat_torus(params: dict, margin: float) -> Chart:
     r1 = _get_param(params, "r1", 1.0)
     r2 = _get_param(params, "r2", 1.0)
-
-    def position(x: np.ndarray) -> np.ndarray:
-        s, t = x.T
-        return np.array([r1 * np.cos(s), r1 * np.sin(s),
-                         r2 * np.cos(t), r2 * np.sin(t)]).T
-
-    def analytic_d1(x: np.ndarray) -> np.ndarray:
-        s, t = x.T
-        d1 = np.zeros(x.shape[:-1] + (2, 4))
-        d1[..., 0, 0] = -r1 * np.sin(s)
-        d1[..., 0, 1] = r1 * np.cos(s)
-        d1[..., 1, 2] = -r2 * np.sin(t)
-        d1[..., 1, 3] = r2 * np.cos(t)
-        return d1
-
-    def analytic_jet(x: np.ndarray) -> Jet2:
-        s, t = x
-        d2 = np.zeros((2, 2, 4))
-        d2[0, 0] = [-r1 * math.cos(s), -r1 * math.sin(s), 0.0, 0.0]
-        d2[1, 1] = [0.0, 0.0, -r2 * math.cos(t), -r2 * math.sin(t)]
-        return Jet2(position(x), analytic_d1(x), d2)
-
     domain = ((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi))
     names = ("th1", "th2")
     return Chart("flat_torus", 2, 2, domain, names, "analytic", {"r1": r1, "r2": r2},
-                 position, analytic_d1, analytic_jet, _outside(names))
+                 *_product(_sphere(1, r1), _sphere(1, r2))[2:], _outside(names))
 
 
 # --- paraboloid: graph patch z = c (x^2 + y^2) ---------------------------
@@ -377,16 +386,6 @@ def domain_check(chart: Chart, x) -> DomainVerdict:
         reason = at_lo if x[worst] <= chart.domain[worst][0] else at_hi
         return DomainVerdict(False, dist, reason)
     return DomainVerdict(True, dist, "interior")
-
-
-def _per_point(fn: Callable) -> Callable:
-    """Lift a function of one point x (n,) to points of shape (n,) or
-    (G, n), stacking the per-point results."""
-    def lifted(x: np.ndarray) -> np.ndarray:
-        if x.ndim == 1:
-            return fn(x)
-        return np.array([fn(y) for y in x])
-    return lifted
 
 
 def _stencil(y: np.ndarray, h: np.ndarray) -> np.ndarray:

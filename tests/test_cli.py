@@ -519,12 +519,23 @@ class TestParser:
 
 class TestCatalog:
     def test_lists_all_charts(self, tmp_path):
-        rc, text = run(["catalog"], tmp_path)
-        assert rc == 0
-        entries = loads_strict(text)
-        assert set(entries) == {"hypersphere", "chen_ideal",
-                                "flat_torus", "paraboloid"}
-        assert entries["chen_ideal"]["axes"] == ["t", "u", "v"]
+        # Byte for byte: names, axes, parameters (an integer n) and domains.
+        two_pi = [0.0, 6.283185307179586]
+        expected = {
+            "chen_ideal": {"axes": ["t", "u", "v"],
+                           "domain": [[0.001, 3.7071493546027434],
+                                      [-1.5697963267948967, 1.5697963267948967], two_pi],
+                           "n": 3, "p": 1, "params": {"a": 1.0}},
+            "flat_torus": {"axes": ["th1", "th2"], "domain": [two_pi, two_pi],
+                           "n": 2, "p": 2, "params": {"r1": 1.0, "r2": 1.0}},
+            "hypersphere": {"axes": ["phi1", "phi2"],
+                            "domain": [[0.001, 3.1405926535897932], two_pi],
+                            "n": 2, "p": 1, "params": {"R": 1.0, "n": 2}},
+            "paraboloid": {"axes": ["x", "y"], "domain": [[-1.0, 1.0], [-1.0, 1.0]],
+                           "n": 2, "p": 1, "params": {"c": 1.0}},
+        }
+        assert run(["catalog"], tmp_path) == (
+            0, json.dumps(expected, indent=2, sort_keys=True))
 
 
 class TestReport:
@@ -760,7 +771,7 @@ class TestVerify:
         assert capsys.readouterr().out.splitlines() == [
             "verify: 4 inputs checked, 4 violations",
             "  skipped: 14 (inadmissible 6, ill-conditioned 4, boundary stencil 4)",
-            "  worst slack: 4.166667e-02 at phi1=0.005,phi2=1.205,phi3=1",
+            "  worst slack: 4.166667e-02 at phi1=0.005,phi2=0.605,phi3=1",
             "  worst Gauss residual: 7.936547e+01 at phi1=0.005,phi2=0.605,phi3=1",
             "  VIOLATION phi1=0.005,phi2=0.605,phi3=1: Gauss residual 7.937e+01",
             "  VIOLATION phi1=0.005,phi2=1.205,phi3=1: Gauss residual 7.937e+01",

@@ -7,17 +7,23 @@ import numpy as np
 import pytest
 
 from casorati.elliptic import complete_K
+from casorati.geometry import frame_at, second_form
 from casorati.immersions import (
     CATALOG_NAMES,
     MAX_SPHERE_N,
+    Chart,
     DomainError,
     _numeric_d1,
     _numeric_jet,
+    _product,
+    _rotation,
+    _sphere,
     domain_check,
     first_partials,
     jet2,
     make_chart,
 )
+from casorati.invariants import inequality_report, inequality_reports
 
 HALF = 1.0 / math.sqrt(2.0)
 
@@ -62,6 +68,12 @@ class TestCatalog:
             with pytest.raises(ValueError, match=f"parameter '{key}' must be "
                                "positive and finite"):
                 make_chart(chart, {key: v})
+        # An int past the float range raised OverflowError, None and a list
+        # TypeError; a bool and a numeric string built a chart.
+        for key, v in (("R", 10 ** 400), ("R", None), ("n", [3]), ("R", True),
+                       ("R", "2"), ("n", True), ("n", "3")):
+            with pytest.raises(ValueError, match=f"parameter '{key}'"):
+                make_chart("hypersphere", {key: v})
 
     def test_unknown_params_named(self):
         with pytest.raises(ValueError, match=r"\['R', 'a'\].*\['c'\]"):
@@ -347,3 +359,81 @@ class TestChartInterface:
         assert not np.array_equal(first_partials(a, x), first_partials(n, x))
         with pytest.raises(TypeError):
             jet2(a, x, jet_mode="numeric")
+
+
+def part_chart(part, domain):
+    """A test chart of a part: analytic jets on the box `domain`."""
+    names = tuple(f"x{j}" for j in range(part.n))
+    return Chart("part", part.n, part.N - part.n, domain, names, "analytic", {},
+                 *part[2:], tuple(("outside",) * 2 for _ in names))
+
+
+def polar_box(m):
+    """Polar angles of S^m: (0, pi) for all but the last, which is (0, 2 pi)."""
+    return [(0.0, math.pi)] * (m - 1) + [(0.0, 2.0 * math.pi)]
+
+
+def assert_partials_of_position(c, X):
+    """Jets and first partials at points X agree with differences of the
+    position: a sign or a block that no invariant sees still fails here."""
+    for x in X:
+        jet, num = jet2(c, x), _numeric_jet(c.position, x)
+        assert np.array_equal(jet.position, num.position)
+        assert np.abs(jet.d1 - num.d1).max() <= 1e-8
+        assert np.abs(jet.d2 - num.d2).max() <= 1e-5 * (1.0 + np.abs(jet.d2).max())
+    d1 = np.array([jet2(c, x).d1 for x in X])
+    assert np.abs(first_partials(c, X) - d1).max() <= 1e-14
+
+
+class TestCombinators:
+    def test_sphere_product_extrema(self):
+        # S^k(r1) x S^(n-k)(r2): with a_i = 1/r_i and x the share of u in the
+        # first factor, f = (n - 1) C(u-perp) = a1^2 ((1 - x)^2 + k - 1)
+        # + a2^2 (x^2 + n - k - 1), convex in x: the inf at
+        # x* = a1^2 / (a1^2 + a2^2), the sup at x = 0 or 1.
+        cases, items = [], []
+        rng = np.random.default_rng(31)
+        for n in (3, 4, 5):
+            for k in range(1, n):
+                for r1, r2 in ((1.0, 0.6), (0.7, 2.5)):
+                    c = part_chart(_product(_sphere(k, r1), _sphere(n - k, r2)),
+                                   tuple(polar_box(k) + polar_box(n - k)))
+                    lo, hi = np.array(c.domain).T
+                    X = lo + (hi - lo) * rng.uniform(0.2, 0.8, (3, n))
+                    assert_partials_of_position(c, X)
+                    for x in X:
+                        sf = second_form(c, x, frame_at(c, x))
+                        items.append((sf, 0.0))
+                        sq1, sq2 = r1 ** -2, r2 ** -2  # a1^2, a2^2
+
+                        def f(s):
+                            return sq1 * ((1 - s) ** 2 + k - 1) + sq2 * (s * s + n - k - 1)
+
+                        cases.append((n, f(sq1 / (sq1 + sq2)), max(f(0.0), f(1.0)),
+                                      np.sum(sf.h ** 2)))
+        for (n, inf_f, sup_f, h2), rep in zip(cases, inequality_reports(items)):
+            assert rep.p == 2
+            assert abs((n - 1) * rep.infCL.value - inf_f) <= 1e-12 * (1 + h2)
+            assert abs((n - 1) * rep.supCL.value - sup_f) <= 1e-12 * (1 + h2)
+        assert len(cases) == 54
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_rotated_half_circle_is_round_sphere(self, m):
+        # The profile (R sin t, -R cos t) rotated by the unit S^m is S^(m+1)(R).
+        R = 1.7
+
+        def profile(t, height):
+            s, c = R * math.sin(t), R * math.cos(t)
+            return s, c, -s, -c, s, c
+
+        # t, then the latitudes pi/2 - phi of the sphere's polar angles phi.
+        box = [(0.0, math.pi)] + [(0.5 * math.pi - b, 0.5 * math.pi - a)
+                                  for a, b in polar_box(m)]
+        c = part_chart(_rotation(profile, _sphere(m, 1.0)), tuple(box))
+        lo, hi = np.array(c.domain).T
+        X = lo + (hi - lo) * np.random.default_rng(m).uniform(0.2, 0.8, (4, m + 1))
+        assert_partials_of_position(c, X)
+        for x in X:
+            rep = inequality_report(second_form(c, x, frame_at(c, x)))
+            assert rep.classification.kind == "Umbilical"
+            assert abs(rep.C * R * R - 1.0) <= 1e-14
